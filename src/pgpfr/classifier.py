@@ -29,6 +29,11 @@ class IncrementalClassifier:
     def dim(self) -> int:
         return self.W.shape[1]
 
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """The trainable arrays by name; updating them in place updates the head."""
+        return {"W": self.W, "b": self.b}
+
     def copy(self) -> "IncrementalClassifier":
         return IncrementalClassifier(self.W.copy(), self.b.copy(), list(self.task_ranges))
 
@@ -73,35 +78,36 @@ def predict(clf: IncrementalClassifier, features) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    m_W: np.ndarray
-    v_W: np.ndarray
-    m_b: np.ndarray
-    v_b: np.ndarray
+    """Adam moments per named parameter, plus the step count they share."""
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     step_count: int = 0
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """One in-place Adam step with bias correction on every named parameter."""
+        self.step_count += 1
+        t = self.step_count
+        for name, grad in grads.items():
+            param, m, v = params[name], self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * grad
+            v *= self.beta2
+            v += (1 - self.beta2) * grad * grad
+            m_hat = m / (1 - self.beta1 ** t)
+            v_hat = v / (1 - self.beta2 ** t)
+            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-def new_adam_state(clf: IncrementalClassifier, lr: float = 0.001) -> AdamState:
+
+def new_adam_state(params: dict[str, np.ndarray], lr: float = 0.001) -> AdamState:
+    """Zero moments for each named parameter array."""
     if lr <= 0:
         raise InvalidArgumentError(f"lr must be positive, got {lr}")
-    return AdamState(
-        m_W=np.zeros_like(clf.W), v_W=np.zeros_like(clf.W),
-        m_b=np.zeros_like(clf.b), v_b=np.zeros_like(clf.b), lr=lr)
-
-
-def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                t: int, lr: float, beta1: float, beta2: float, eps: float) -> None:
-    """One in-place Adam step with bias correction (t is the 1-based step)."""
-    m *= beta1
-    m += (1 - beta1) * grad
-    v *= beta2
-    v += (1 - beta2) * grad * grad
-    m_hat = m / (1 - beta1 ** t)
-    v_hat = v / (1 - beta2 ** t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
+                     v={k: np.zeros_like(p) for k, p in params.items()}, lr=lr)
 
 
 def adam_step(clf: IncrementalClassifier, grads, state: AdamState):
@@ -112,10 +118,5 @@ def adam_step(clf: IncrementalClassifier, grads, state: AdamState):
         raise InvalidArgumentError(
             f"gradient shapes {grad_w.shape}/{grad_b.shape} do not match "
             f"classifier {clf.W.shape}/{clf.b.shape}")
-    state.step_count += 1
-    t = state.step_count
-    adam_update(clf.W, grad_w, state.m_W, state.v_W, t,
-                state.lr, state.beta1, state.beta2, state.eps)
-    adam_update(clf.b, grad_b, state.m_b, state.v_b, t,
-                state.lr, state.beta1, state.beta2, state.eps)
+    state.update(clf.params, {"W": grad_w, "b": grad_b})
     return clf, state

@@ -6,7 +6,8 @@ Subcommands:
     synth    generate a synthetic Gaussian-mixture dataset file
     inspect  print header fields and class/split histograms of a dataset
 
-Exit codes: 0 success, 1 runtime/validation failure, 2 bad config or flags.
+Exit codes: 0 success, 1 runtime/validation failure or divergence, 2 bad
+config (unknown key, wrong value type) or flags.
 All randomness comes from seeds in the config/flags, so identical inputs
 produce byte-identical outputs. The PGPFR_OUTPUT_DIR environment variable
 overrides the config's output directory (nothing else is overridable by
@@ -33,19 +34,48 @@ from .metrics import record_fields, summarize
 
 OUTPUT_DIR_ENV = "PGPFR_OUTPUT_DIR"
 
-_SYNTH_KEYS = {"classes", "dim", "per_class_train", "per_class_test", "separation", "seed"}
-_SCHEDULE_KEYS = {"k", "d", "n_tasks", "class_order_seed"}
-_TRAIN_KEYS = {"epochs_task0", "epochs_incremental", "batch_size", "lr", "seed"}
-_LOSS_KEYS = {"R", "gamma", "enable_P", "enable_V", "enable_T",
-              "enable_sharpening", "enable_batch_proto"}
-_EXTRACTOR_KEYS = {"kind", "input_dim", "feature_dim", "hidden_dim", "seed"}
-_TOP_KEYS = {"dataset", "synth", "schedule", "train", "losses", "extractor", "output_dir"}
+_INT_OR_NULL = (int, type(None))
+
+# The config's keys and expected value types; a nested table is a section.
+# Drives both the unknown-key check and the type check.
+_SCHEMA = {
+    "dataset": str,
+    "output_dir": str,
+    "synth": {"classes": int, "dim": int, "per_class_train": int,
+              "per_class_test": int, "separation": float, "seed": int},
+    "schedule": {"k": int, "d": int, "n_tasks": int, "class_order_seed": _INT_OR_NULL},
+    "train": {"epochs_task0": int, "epochs_incremental": int, "batch_size": int,
+              "lr": float, "seed": int},
+    "losses": {"R": float, "gamma": float, "enable_P": bool, "enable_V": bool,
+               "enable_T": bool, "enable_sharpening": bool, "enable_batch_proto": bool},
+    "extractor": {"kind": str, "input_dim": int, "feature_dim": int,
+                  "hidden_dim": int, "seed": int},
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", _INT_OR_NULL: "an integer or null"}
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _type_ok(value, expected) -> bool:
+    if isinstance(value, bool):  # JSON true/false is a Python int; never a number here
+        return expected is bool
+    if expected is float:  # JSON NaN and Infinity parse as floats
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, expected)
+
+
+def _check_section(section: dict, schema: dict, prefix: str = "") -> None:
+    """Reject unknown keys and wrongly typed values, descending into sections."""
+    unknown = set(section) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {prefix[:-1] or 'config'}")
+    for key, value in section.items():
+        expected, path = schema[key], prefix + key
+        if isinstance(expected, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path} must be an object, got {value!r}")
+            _check_section(value, expected, path + ".")
+        elif not _type_ok(value, expected):
+            raise ConfigError(f"{path} must be {_TYPE_NAMES[expected]}, got {value!r}")
 
 
 def _require(section: dict, keys: tuple, where: str) -> None:
@@ -79,15 +109,10 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
                 raise ConfigError(f"override path {dotted!r} crosses a non-object")
         node[keys[-1]] = value
 
-    _check_keys(raw, _TOP_KEYS, "config")
+    _check_section(raw, _SCHEMA)
     if ("dataset" in raw) == ("synth" in raw):
         raise ConfigError("config needs exactly one of 'dataset' or 'synth'")
     _require(raw, ("schedule", "train", "output_dir"), "config")
-    _check_keys(raw.get("synth", {}), _SYNTH_KEYS, "synth")
-    _check_keys(raw["schedule"], _SCHEDULE_KEYS, "schedule")
-    _check_keys(raw["train"], _TRAIN_KEYS, "train")
-    _check_keys(raw.get("losses", {}), _LOSS_KEYS, "losses")
-    _check_keys(raw.get("extractor", {}), _EXTRACTOR_KEYS, "extractor")
     _require(raw["schedule"], ("k", "d", "n_tasks"), "schedule")
     return raw
 

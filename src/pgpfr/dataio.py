@@ -3,7 +3,7 @@ synthetic Gaussian-mixture generator.
 
 Binary format (little-endian):
     magic "PGFR" | version u32 = 1 | n_samples u64 | dim u32
-    then per sample: label u32 | split u8 (0 = train, 1 = test) | dim x f32
+    then per sample, packed: label u32 | split u8 (0 = train, 1 = test) | dim x f32
 
 Features are kept as float32 in memory so a save/load round trip is
 bitwise lossless; numerics upcast to float64 at the point of use.
@@ -73,14 +73,26 @@ class TaskDataset:
     test_labels: np.ndarray
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    """One packed sample record: label u32 | split u8 | dim x f32."""
+    return np.dtype([("label", "<u4"), ("split", "u1"), ("features", "<f4", (dim,))])
+
+
 def save_dataset(ds: Dataset, path) -> None:
-    feats = np.ascontiguousarray(ds.features, dtype="<f4")
+    """Write ds in the binary format; labels must fit in u32 and split bytes
+    be TRAIN or TEST, checked before the file is opened."""
+    if ds.labels.size and (ds.labels.min() < 0 or ds.labels.max() >= 2 ** 32):
+        raise InvalidArgumentError("labels must lie in [0, 2**32)")
+    if not np.isin(ds.split, (TRAIN, TEST)).all():
+        raise InvalidArgumentError(f"split bytes must be {TRAIN} (train) or {TEST} (test)")
+    records = np.empty(ds.n_samples, dtype=_record_dtype(ds.dim))
+    records["label"] = ds.labels
+    records["split"] = ds.split
+    records["features"] = ds.features
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IQI", VERSION, ds.n_samples, ds.dim))
-        for i in range(ds.n_samples):
-            fh.write(struct.pack("<IB", int(ds.labels[i]), int(ds.split[i])))
-            fh.write(feats[i].tobytes())
+        fh.write(records)
 
 
 def load_dataset(path) -> Dataset:
@@ -93,23 +105,17 @@ def load_dataset(path) -> Dataset:
     version, n, dim = struct.unpack_from("<IQI", raw, 4)
     if version != VERSION:
         raise DatasetFormatError(f"unsupported version {version}", 4)
-    rec = 5 + 4 * dim
-    expected = 20 + n * rec
+    rec = _record_dtype(dim)
+    expected = 20 + n * rec.itemsize
     if len(raw) != expected:
         raise DatasetFormatError(
             f"truncated or oversized payload (expected {expected} bytes)", len(raw))
-    labels = np.empty(n, dtype=np.int64)
-    split = np.empty(n, dtype=np.uint8)
-    feats = np.empty((n, dim), dtype="<f4")
-    off = 20
-    for i in range(n):
-        labels[i], split[i] = struct.unpack_from("<IB", raw, off)
-        feats[i] = np.frombuffer(raw, dtype="<f4", count=dim, offset=off + 5)
-        off += rec
+    records = np.frombuffer(raw, dtype=rec, count=n, offset=20)
+    split = records["split"].copy()
     if not np.isin(split, (TRAIN, TEST)).all():
         bad = int(np.argwhere(~np.isin(split, (TRAIN, TEST)))[0, 0])
-        raise DatasetFormatError(f"bad split byte at sample {bad}", 20 + bad * rec + 4)
-    ds = Dataset(feats, labels, split)
+        raise DatasetFormatError(f"bad split byte at sample {bad}", 20 + bad * rec.itemsize + 4)
+    ds = Dataset(records["features"].copy(), records["label"].astype(np.int64), split)
     ds.validate()
     return ds
 

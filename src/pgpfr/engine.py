@@ -11,6 +11,7 @@ order; all metrics are computed in that row space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,11 @@ def _register_task_statistics(state: ExperimentState, data: TaskDataset) -> None
     state.store = register(state.store, stats)
 
 
+def _check_head_finite(clf: clf_mod.IncrementalClassifier, task: int) -> None:
+    if not (np.isfinite(clf.W).all() and np.isfinite(clf.b).all()):
+        raise InvalidStateError(f"task {task} diverged: the head's W or b is non-finite")
+
+
 def run_task0(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> ExperimentState:
     """Joint backbone+head training, then freeze, fit statistics, evaluate."""
     if state.extractor.frozen:
@@ -119,6 +125,7 @@ def run_task0(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> Ex
         test_features=data.test_features,
         test_labels=data.test_labels)
     ext_mod.train_task0(state.extractor, remapped, state.clf, cfg)
+    _check_head_finite(state.clf, data.task_index)
     state.extractor.freeze()
     state.task0_classes = len(data.class_ids)
     _register_task_statistics(state, data)
@@ -134,7 +141,8 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
 
     Per batch: embed, optionally generate and merge a pseudo batch, then
     take one Adam step on the sum of the enabled losses. The backbone and
-    the prototype store are read-only throughout.
+    the prototype store are read-only throughout. A non-finite step loss or
+    head raises InvalidStateError.
     """
     if not state.extractor.frozen:
         raise InvalidStateError("incremental task before task 0 (extractor not frozen)")
@@ -147,7 +155,7 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
     state.clf = clf_mod.expand(state.clf, len(data.class_ids), cfg.seed)
     task_range = state.clf.task_ranges[-1]
     n_old = len(state.store)
-    adam = clf_mod.new_adam_state(state.clf, lr=cfg.lr)
+    adam = clf_mod.new_adam_state(state.clf.params, lr=cfg.lr)
 
     x_all = np.asarray(data.train_features, dtype=np.float64)
     y_all = _rows(state, data.train_labels)
@@ -160,7 +168,7 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
                         for cid in np.unique(y_all)}
 
     for epoch in range(cfg.epochs_incremental):
-        for idx in batches(data, cfg.batch_size, cfg.seed, epoch):
+        for step, idx in enumerate(batches(data, cfg.batch_size, cfg.seed, epoch)):
             feats = state.extractor.embed_batch(x_all[idx])
             y = y_all[idx]
             if lc.enable_P:
@@ -174,7 +182,12 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
                 components.append(vpr_loss(state.store, state.clf, lc))
             if lc.enable_T:
                 components.append(tce_loss(feats, y, state.clf, task_range))
-            clf_mod.adam_step(state.clf, total_loss(components), adam)
+            total = total_loss(components)
+            if not math.isfinite(total.value):
+                raise InvalidStateError(
+                    f"task {data.task_index} diverged: loss {total.value} at epoch {epoch}, step {step}")
+            clf_mod.adam_step(state.clf, total, adam)
+    _check_head_finite(state.clf, data.task_index)
 
     _register_task_statistics(state, data)
     state.test_features.append(np.asarray(data.test_features, dtype=np.float64))
@@ -206,22 +219,3 @@ def run_experiment(cfg: TrainConfig, schedule: TaskSchedule, dataset: Dataset,
         if task_callback is not None:
             task_callback(state)
     return state.metrics
-
-
-def save_checkpoint(state: ExperimentState, path) -> None:
-    """Everything needed to resume evaluation: head, backbone, statistics."""
-    arrays = {
-        "clf_W": state.clf.W,
-        "clf_b": state.clf.b,
-        "task_ranges": np.asarray(state.clf.task_ranges, dtype=np.int64),
-        "store_ids": np.asarray(state.store.class_ids, dtype=np.int64),
-        "task0_classes": np.asarray([state.task0_classes], dtype=np.int64),
-    }
-    for cid in state.store.class_ids:
-        st = state.store.get(cid)
-        arrays[f"proto_{cid}"] = st.prototype
-        arrays[f"cov_{cid}"] = st.covariance
-        arrays[f"count_{cid}"] = np.asarray([st.count], dtype=np.int64)
-    for name, p in state.extractor.params.items():
-        arrays[f"ext_{name}"] = p
-    np.savez(path, **arrays)

@@ -7,13 +7,14 @@ stability is what keeps stored class statistics valid across tasks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classifier as clf_mod
 from .errors import InvalidArgumentError, InvalidStateError
-from .losses import _log_softmax
+from .losses import _softmax_ce
 
 KINDS = ("identity", "linear", "mlp1")
 INIT_STD = 0.01
@@ -44,21 +45,22 @@ class Extractor:
     params: dict[str, np.ndarray] = field(default_factory=dict)
     frozen: bool = False
 
-    def embed(self, x) -> np.ndarray:
-        """Map one input vector to feature space."""
-        return self.embed_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
-
     def embed_batch(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise InvalidArgumentError(
                 f"input must be (N, {self.spec.input_dim}), got {x.shape}")
+        return self._forward(x)[0]
+
+    def _forward(self, x: np.ndarray):
+        """Features of the (N, input_dim) batch x, plus the hidden activation
+        the backward pass needs (mlp1; None for the other kinds)."""
         if self.spec.kind == "identity":
-            return x.copy()
+            return x.copy(), None
         if self.spec.kind == "linear":
-            return x @ self.params["W"].T + self.params["b"]
+            return x @ self.params["W"].T + self.params["b"], None
         h = np.maximum(x @ self.params["W1"].T + self.params["b1"], 0.0)
-        return h @ self.params["W2"].T + self.params["b2"]
+        return h @ self.params["W2"].T + self.params["b2"], h
 
     def freeze(self) -> "Extractor":
         self.frozen = True
@@ -92,20 +94,9 @@ def _ce_forward_backward(ext: Extractor, head: clf_mod.IncrementalClassifier,
     """Joint cross-entropy value plus gradients for head and extractor params."""
     n = x.shape[0]
     kind = ext.spec.kind
-    if kind == "identity":
-        feats, cache = x, None
-    elif kind == "linear":
-        feats, cache = x @ ext.params["W"].T + ext.params["b"], None
-    else:
-        pre = x @ ext.params["W1"].T + ext.params["b1"]
-        h = np.maximum(pre, 0.0)
-        feats = h @ ext.params["W2"].T + ext.params["b2"]
-        cache = (pre, h)
-
-    logp = _log_softmax(feats @ head.W.T + head.b)
-    value = float(-logp[np.arange(n), y].mean())
-    d = np.exp(logp)
-    d[np.arange(n), y] -= 1.0
+    feats, h = ext._forward(x)
+    nll, d = _softmax_ce(feats @ head.W.T + head.b, y)
+    value = float(nll / n)
     d /= n
 
     head_grads = {"W": d.T @ feats, "b": d.sum(axis=0)}
@@ -116,10 +107,9 @@ def _ce_forward_backward(ext: Extractor, head: clf_mod.IncrementalClassifier,
             ext_grads["W"] = dfeat.T @ x
             ext_grads["b"] = dfeat.sum(axis=0)
         else:
-            pre, h = cache
             ext_grads["W2"] = dfeat.T @ h
             ext_grads["b2"] = dfeat.sum(axis=0)
-            dh = (dfeat @ ext.params["W2"]) * (pre > 0)
+            dh = (dfeat @ ext.params["W2"]) * (h > 0)  # h > 0 exactly where the ReLU passed
             ext_grads["W1"] = dh.T @ x
             ext_grads["b1"] = dh.sum(axis=0)
     return value, head_grads, ext_grads
@@ -130,6 +120,7 @@ def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg):
 
     `data` is a TaskDataset whose train labels must already be row indices
     of `head`. Mini-batch order is reseeded per epoch from the config seed.
+    Raises InvalidStateError as soon as a step's loss is non-finite.
     """
     from .dataio import batches  # local import to avoid a module cycle
 
@@ -140,20 +131,17 @@ def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg):
     if y_all.max() >= head.n_classes:
         raise InvalidStateError("task-0 labels exceed the classifier's class count")
 
-    head_state = clf_mod.new_adam_state(head, lr=cfg.lr)
-    ext_m = {k: np.zeros_like(v) for k, v in ext.params.items()}
-    ext_v = {k: np.zeros_like(v) for k, v in ext.params.items()}
-    t = 0
+    # one optimizer over both parameter sets; prefixes keep the names apart
+    params = {"head." + k: p for k, p in head.params.items()}
+    params.update({"backbone." + k: p for k, p in ext.params.items()})
+    adam = clf_mod.new_adam_state(params, lr=cfg.lr)
     for epoch in range(cfg.epochs_task0):
-        for idx in batches(data, cfg.batch_size, cfg.seed, epoch):
-            x, y = x_all[idx], y_all[idx]
-            _, head_grads, ext_grads = _ce_forward_backward(ext, head, x, y)
-            t += 1
-            clf_mod.adam_update(head.W, head_grads["W"], head_state.m_W, head_state.v_W,
-                                t, cfg.lr, head_state.beta1, head_state.beta2, head_state.eps)
-            clf_mod.adam_update(head.b, head_grads["b"], head_state.m_b, head_state.v_b,
-                                t, cfg.lr, head_state.beta1, head_state.beta2, head_state.eps)
-            for name, g in ext_grads.items():
-                clf_mod.adam_update(ext.params[name], g, ext_m[name], ext_v[name],
-                                    t, cfg.lr, 0.9, 0.999, 1e-8)
+        for step, idx in enumerate(batches(data, cfg.batch_size, cfg.seed, epoch)):
+            value, head_grads, ext_grads = _ce_forward_backward(ext, head, x_all[idx], y_all[idx])
+            if not math.isfinite(value):
+                raise InvalidStateError(
+                    f"task {data.task_index} diverged: loss {value} at epoch {epoch}, step {step}")
+            grads = {"head." + k: g for k, g in head_grads.items()}
+            grads.update({"backbone." + k: g for k, g in ext_grads.items()})
+            adam.update(params, grads)
     return ext, head

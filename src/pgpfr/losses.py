@@ -58,6 +58,17 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed negative log-likelihood of the labels under the row softmax of
+    logits, and its gradient with respect to logits, softmax - onehot."""
+    rows = np.arange(len(labels))
+    logp = _log_softmax(logits)
+    nll = -logp[rows, labels].sum()
+    d = np.exp(logp)
+    d[rows, labels] -= 1.0
+    return nll, d
+
+
 def replay_ce_loss(batch: MergedBatch, clf: IncrementalClassifier, n_old: int,
                    cfg: LossConfig) -> LossValueGrad:
     """Cross-entropy over the merged batch.
@@ -84,21 +95,15 @@ def replay_ce_loss(batch: MergedBatch, clf: IncrementalClassifier, n_old: int,
 
     if mask.any():
         zp, yp = z[mask], labels[mask]
-        lp = (zp @ clf.W[:n_old].T + clf.b[:n_old]) / temp
-        logp = _log_softmax(lp)
-        value += -logp[np.arange(len(yp)), yp].sum()
-        d = np.exp(logp)
-        d[np.arange(len(yp)), yp] -= 1.0
+        nll, d = _softmax_ce((zp @ clf.W[:n_old].T + clf.b[:n_old]) / temp, yp)
+        value += nll
         dlogits[np.ix_(mask.nonzero()[0], np.arange(n_old))] = d / temp
 
     real = ~mask
     if real.any():
         zr, yr = z[real], labels[real]
-        lr = zr @ clf.W.T + clf.b
-        logp = _log_softmax(lr)
-        value += -logp[np.arange(len(yr)), yr].sum()
-        d = np.exp(logp)
-        d[np.arange(len(yr)), yr] -= 1.0
+        nll, d = _softmax_ce(zr @ clf.W.T + clf.b, yr)
+        value += nll
         dlogits[real] = d
 
     dlogits /= n
@@ -181,12 +186,8 @@ def tce_loss(features, labels, clf: IncrementalClassifier,
         raise InvalidArgumentError("label outside the task range")
 
     n = z.shape[0]
-    local = labels - lo
-    s = z @ clf.W[lo:hi].T + clf.b[lo:hi]
-    logp = _log_softmax(s)
-    value = float(-logp[np.arange(n), local].mean())
-    d = np.exp(logp)
-    d[np.arange(n), local] -= 1.0
+    nll, d = _softmax_ce(z @ clf.W[lo:hi].T + clf.b[lo:hi], labels - lo)
+    value = float(nll / n)
     d /= n
     grad_w, grad_b = _zeros_like(clf)
     grad_w[lo:hi] = d.T @ z
@@ -194,8 +195,7 @@ def tce_loss(features, labels, clf: IncrementalClassifier,
     return LossValueGrad(value, grad_w, grad_b)
 
 
-def total_loss(components: list[LossValueGrad],
-               cfg: LossConfig | None = None) -> LossValueGrad:
+def total_loss(components: list[LossValueGrad]) -> LossValueGrad:
     """Unweighted sum of the enabled loss components."""
     if not components:
         raise InvalidArgumentError("total_loss needs at least one component")

@@ -13,21 +13,6 @@ from .errors import InvalidArgumentError
 ZERO_NORM_EPS = 1e-12
 
 
-def softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """Temperature-scaled softmax, computed with max-subtraction for stability."""
-    if temperature <= 0:
-        raise InvalidArgumentError(f"temperature must be positive, got {temperature}")
-    z = np.asarray(logits, dtype=np.float64)
-    if z.size == 0:
-        raise InvalidArgumentError("softmax of empty logits")
-    if not np.all(np.isfinite(z)):
-        raise InvalidArgumentError("softmax input contains non-finite values")
-    z = z / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def cosine_sim(u, v) -> float:
     """Cosine similarity; 0 by convention when either vector is (near) zero."""
     u = np.asarray(u, dtype=np.float64)
@@ -61,12 +46,3 @@ def covariance(m) -> np.ndarray:
     c = centered.T @ centered / (n - 1)
     # exact symmetry matters downstream (quadratic-form gradients)
     return (c + c.T) / 2.0
-
-
-def quad_form(v, mat) -> float:
-    """v' M v."""
-    v = np.asarray(v, dtype=np.float64)
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.shape != (v.shape[0], v.shape[0]):
-        raise InvalidArgumentError(f"shape mismatch: vector {v.shape}, matrix {mat.shape}")
-    return float(v @ mat @ v)

@@ -105,7 +105,7 @@ class TestAdam:
         clf = new_classifier(3, 2, seed=0)
         before = clf.W.copy()
         adam_step(clf, self._grads(clf, np.zeros_like(clf.W), np.zeros_like(clf.b)),
-                  new_adam_state(clf))
+                  new_adam_state(clf.params))
         assert np.array_equal(clf.W, before)
 
     def test_first_step_magnitude(self):
@@ -113,7 +113,7 @@ class TestAdam:
         clf = new_classifier(2, 2, seed=0)
         before = clf.W.copy()
         g = np.full_like(clf.W, 0.37)
-        state = new_adam_state(clf, lr=0.001)
+        state = new_adam_state(clf.params, lr=0.001)
         adam_step(clf, self._grads(clf, g, np.zeros_like(clf.b)), state)
         expected = 0.001 * 0.37 / (np.sqrt(0.37 ** 2) + 1e-8)
         assert np.allclose(before - clf.W, expected, rtol=1e-12)
@@ -123,7 +123,7 @@ class TestAdam:
         outs = []
         for _ in range(2):
             clf = new_classifier(4, 3, seed=5)
-            state = new_adam_state(clf)
+            state = new_adam_state(clf.params)
             for _ in range(5):
                 adam_step(clf, self._grads(clf, g, np.zeros_like(clf.b)), state)
             outs.append(clf.W.tobytes())
@@ -133,10 +133,10 @@ class TestAdam:
         clf = new_classifier(3, 2, seed=0)
         with pytest.raises(InvalidArgumentError):
             adam_step(clf, self._grads(clf, np.zeros((5, 3)), np.zeros(2)),
-                      new_adam_state(clf))
+                      new_adam_state(clf.params))
 
     def test_step_count_increments(self):
         clf = new_classifier(2, 2, seed=0)
-        state = new_adam_state(clf)
+        state = new_adam_state(clf.params)
         adam_step(clf, self._grads(clf, np.zeros_like(clf.W), np.zeros_like(clf.b)), state)
         assert state.step_count == 1

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pgpfr.cli import main
@@ -43,6 +44,31 @@ class TestRun:
         raw["losses"]["mystery"] = 3
         cfg.write_text(json.dumps(raw))
         assert main(["run", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("override, message", [
+        ("train.lr=abc", "train.lr must be a number, got 'abc'"),
+        ("train.lr=NaN", "train.lr must be a number, got nan"),
+        ("schedule.k=2.5", "schedule.k must be an integer, got 2.5"),
+        ("train.batch_size=true", "train.batch_size must be an integer, got True"),
+        ("train.epochs_task0=null", "train.epochs_task0 must be an integer, got None"),
+        ("losses.R=abc", "losses.R must be a number, got 'abc'"),
+        ("losses.R=Infinity", "losses.R must be a number, got inf"),
+        ("losses.gamma=false", "losses.gamma must be a number, got False"),
+        ("losses.enable_V=1", "losses.enable_V must be true or false, got 1"),
+        ("schedule=3", "schedule must be an object, got 3"),
+    ])
+    def test_wrong_value_type_exits_2(self, tmp_path, capsys, override, message):
+        assert main(["run", str(write_config(tmp_path)), "--set", override]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_divergence_exits_1_without_summary(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            code = main(["run", str(write_config(tmp_path)), "--set", "train.lr=1e300"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: task ") and "diverged" in err and err.count("\n") == 1
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2

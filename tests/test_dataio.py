@@ -21,6 +21,18 @@ class TestSaveLoadRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
+        assert loaded.labels.dtype == np.int64
+        for a in (loaded.features, loaded.labels, loaded.split):
+            assert a.flags.c_contiguous and a.flags.writeable
+
+    @pytest.mark.parametrize("label, split", [(-1, 0), (2 ** 32, 0), (0, 2)])
+    def test_out_of_range_record_rejected_before_writing(self, tmp_path, label, split):
+        ds = synth_gaussian(2, 3, 2, 1, 1.0, seed=0)
+        ds.labels[1], ds.split[1] = label, split
+        p = tmp_path / "bad.pgfr"
+        with pytest.raises(InvalidArgumentError):
+            save_dataset(ds, p)
+        assert not p.exists()
 
     def test_truncated_file_rejected(self, tmp_path):
         ds = synth_gaussian(2, 3, 2, 1, 1.0, seed=0)

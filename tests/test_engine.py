@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pgpfr.classifier import new_classifier
 from pgpfr.dataio import split_schedule, synth_gaussian
 from pgpfr.engine import (ExperimentState, TaskSchedule, TrainConfig,
-                          run_experiment, run_incremental_task, run_task0,
-                          save_checkpoint)
+                          run_experiment, run_incremental_task, run_task0)
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
 from pgpfr.extractor import ExtractorSpec, init
 from pgpfr.losses import LossConfig
@@ -95,6 +96,20 @@ class TestRunIncrementalTask:
         with pytest.raises(InvalidStateError):
             run_incremental_task(state, tasks[1], cfg)
 
+    def test_divergence_names_task_epoch_and_step(self):
+        state, tasks, cfg = self._after_task0()
+        with np.errstate(all="ignore"), \
+                pytest.raises(InvalidStateError, match=r"task 1 .*epoch 0, step \d"):
+            run_incremental_task(state, tasks[1], replace(cfg, lr=1e300))
+
+    def test_non_finite_head_after_last_step_rejected(self):
+        # one step per task: its loss is finite, the update it makes is not
+        state, tasks, cfg = self._after_task0()
+        one_step = replace(cfg, lr=float("inf"), epochs_incremental=1, batch_size=1000)
+        with np.errstate(all="ignore"), \
+                pytest.raises(InvalidStateError, match=r"task 1 .*non-finite"):
+            run_incremental_task(state, tasks[1], one_step)
+
     def test_rejects_repeated_classes(self):
         state, tasks, cfg = self._after_task0()
         with pytest.raises(InvalidStateError):
@@ -152,16 +167,3 @@ class TestRunExperiment:
         sched = TaskSchedule(8, 4, 1, 5, list(range(8)))
         with pytest.raises(InvalidArgumentError):
             run_experiment(cfg, sched, ds, spec)
-
-
-class TestCheckpoint:
-    def test_checkpoint_round_trips_head(self, tmp_path):
-        ds, sched, cfg, spec = small_setup()
-        states = []
-        run_experiment(cfg, sched, ds, spec, task_callback=states.append)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(states[-1], path)
-        loaded = np.load(path)
-        assert np.array_equal(loaded["clf_W"], states[-1].clf.W)
-        assert np.array_equal(loaded["store_ids"],
-                              np.array(states[-1].store.class_ids))

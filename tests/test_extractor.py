@@ -42,24 +42,24 @@ class TestInit:
 class TestEmbed:
     def test_identity_passthrough(self):
         e = init(ExtractorSpec("identity", 3, 3))
-        assert np.allclose(e.embed([1, 2, 3]), [1, 2, 3])
+        assert np.allclose(e.embed_batch([[1, 2, 3]]), [[1, 2, 3]])
 
     def test_linear_identity_params(self):
         e = init(ExtractorSpec("linear", 3, 3))
         e.params["W"] = np.eye(3)
         e.params["b"] = np.zeros(3)
-        x = np.array([0.5, -2.0, 7.0])
-        assert np.allclose(e.embed(x), x)
+        x = np.array([[0.5, -2.0, 7.0]])
+        assert np.allclose(e.embed_batch(x), x)
 
     def test_frozen_mlp_deterministic(self, rng):
         e = init(ExtractorSpec("mlp1", 4, 3, hidden_dim=6, seed=1)).freeze()
-        x = rng.normal(size=4)
-        assert np.array_equal(e.embed(x), e.embed(x))
+        x = rng.normal(size=(5, 4))
+        assert np.array_equal(e.embed_batch(x), e.embed_batch(x))
 
     def test_dim_mismatch(self):
         e = init(ExtractorSpec("identity", 3, 3))
         with pytest.raises(InvalidArgumentError):
-            e.embed([1, 2])
+            e.embed_batch([[1, 2]])
 
 
 class TestFreeze:
@@ -75,9 +75,9 @@ class TestFreeze:
 
     def test_embed_unchanged_by_freeze(self, rng):
         e = init(ExtractorSpec("mlp1", 4, 3, hidden_dim=5, seed=2))
-        x = rng.normal(size=4)
-        before = e.embed(x)
-        assert np.array_equal(before, e.freeze().embed(x))
+        x = rng.normal(size=(5, 4))
+        before = e.embed_batch(x)
+        assert np.array_equal(before, e.freeze().embed_batch(x))
 
     def test_snapshot_stable_after_freeze(self, rng):
         e = init(ExtractorSpec("mlp1", 4, 3, hidden_dim=5, seed=2)).freeze()
@@ -102,6 +102,14 @@ class TestTrainTask0:
         w = head.W.copy()
         train_task0(e, make_task(rng), head, TrainConfig(epochs_task0=0, batch_size=16, seed=0))
         assert e.snapshot() == snap and np.array_equal(head.W, w)
+
+    def test_divergence_names_task_epoch_and_step(self, rng):
+        e = init(ExtractorSpec("linear", 4, 4, seed=3))
+        head = new_classifier(4, 2, seed=0)
+        cfg = TrainConfig(epochs_task0=2, batch_size=16, lr=1e300, seed=0)
+        with np.errstate(all="ignore"), \
+                pytest.raises(InvalidStateError, match=r"task 0 .*epoch 0, step \d"):
+            train_task0(e, make_task(rng), head, cfg)
 
     def test_separable_classes_learned(self, rng):
         # two Gaussian classes far apart are closed-form separable; the

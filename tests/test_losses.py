@@ -120,7 +120,7 @@ class TestProtoLoss:
         # drive the loss under ln(2)/n_old: every prototype's own logit wins
         store = random_store(rng, 3, 4)
         clf = make_clf(rng, 4, 3)
-        state = new_adam_state(clf, lr=0.05)
+        state = new_adam_state(clf.params, lr=0.05)
         for _ in range(2000):
             out = proto_loss(store, clf)
             if out.value < math.log(2) / 3:

@@ -1,58 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError
-from pgpfr.numerics import cosine_sim, covariance, mean_rows, quad_form, softmax
+from pgpfr.numerics import cosine_sim, covariance, mean_rows
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
-
-
-class TestSoftmax:
-    def test_symmetry_two_zeros(self):
-        assert np.allclose(softmax([0.0, 0.0], 1.0), [0.5, 0.5])
-
-    def test_equal_logits_uniform(self):
-        for a in (-3.0, 0.0, 7.5):
-            for t in (0.3, 1.0, 5.0):
-                assert np.allclose(softmax([a, a, a], t), [1 / 3] * 3, atol=1e-15)
-
-    def test_scalar_oracle(self):
-        # e^(1/0.3) / (e^(1/0.3) + 1) computed with plain scalar math
-        expected = math.exp(1 / 0.3) / (math.exp(1 / 0.3) + 1)
-        p = softmax([1.0, 0.0], 0.3)
-        assert p[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_stability_large_logits(self):
-        p = softmax([1000.0, 0.0], 1.0)
-        assert np.isfinite(p).all() and p[0] == pytest.approx(1.0)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(InvalidArgumentError):
-            softmax([1.0], 0.0)
-        with pytest.raises(InvalidArgumentError):
-            softmax([1.0], -2.0)
-        with pytest.raises(InvalidArgumentError):
-            softmax([], 1.0)
-        with pytest.raises(InvalidArgumentError):
-            softmax([np.inf, 0.0], 1.0)
-
-    @given(st.lists(finite_floats, min_size=1, max_size=10),
-           st.floats(min_value=0.01, max_value=10))
-    @settings(max_examples=50)
-    def test_sums_to_one(self, logits, t):
-        assert softmax(logits, t).sum() == pytest.approx(1.0, abs=1e-12)
-
-    @given(st.lists(finite_floats, min_size=2, max_size=8),
-           st.floats(min_value=0.1, max_value=10))
-    @settings(max_examples=50)
-    def test_temperature_equals_prescaling(self, logits, t):
-        a = softmax(logits, t)
-        b = softmax(np.asarray(logits) / t, 1.0)
-        assert np.abs(a - b).max() < 1e-12
 
 
 class TestCosineSim:
@@ -114,24 +68,10 @@ class TestCovariance:
         assert np.abs(c - c.T).max() <= 1e-9
         for _ in range(10):
             x = rng.normal(size=5)
-            assert quad_form(x, c) >= -1e-9
+            assert x @ c @ x >= -1e-9
 
     def test_translation_invariance(self, rng):
         m = rng.normal(size=(15, 4))
         t = rng.normal(size=4) * 100
         assert np.abs(covariance(m + t) - covariance(m)).max() < 1e-9
 
-
-class TestQuadForm:
-    def test_identity(self):
-        assert quad_form([3, 4], np.eye(2)) == pytest.approx(25.0)
-
-    def test_zero_matrix(self):
-        assert quad_form([7, -2, 1], np.zeros((3, 3))) == 0.0
-
-    def test_diagonal(self):
-        assert quad_form([1, 2], np.diag([2.0, 1.0])) == pytest.approx(6.0)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            quad_form([1, 2, 3], np.eye(2))
