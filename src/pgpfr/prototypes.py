@@ -2,10 +2,20 @@
 
 Statistics are computed once per task over frozen-backbone features and
 accumulate in a PrototypeStore that only ever grows.
+
+A class's unbiased covariance C is held in one of two exact forms, picked
+from its sample count n and the feature dimension D alone:
+  * 2n < D: the factor F = (rows - mean) / sqrt(n - 1), shape (n, D) (or
+    (0, D) when n < 2), with C = F'F. It takes n*D floats instead of D*D,
+    and VPR's penalty costs 4*No*n*D flops per class instead of 2*No*D*D,
+    No being the number of old classes.
+  * 2n >= D: the dense (D, D) matrix, where the factor would cost more.
+`ClassStatistics.covariance` is the dense (D, D) view in both forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,11 +24,30 @@ from .errors import InvalidArgumentError, InvalidStateError
 from .numerics import covariance, mean_rows
 
 
-@dataclass
 class ClassStatistics:
-    prototype: np.ndarray      # (D,) class mean
-    covariance: np.ndarray     # (D, D) unbiased sample covariance, zero when count < 2
-    count: int
+    """Prototype, covariance and sample count of one class.
+
+    The covariance is given either dense or, with `covariance=None`, as
+    `factor` (see the module docstring for which one fit_class_statistics
+    picks); the `covariance` property is the dense view of either.
+    """
+
+    def __init__(self, prototype: np.ndarray, covariance: np.ndarray | None,
+                 count: int, factor: np.ndarray | None = None):
+        if (covariance is None) == (factor is None):
+            raise InvalidArgumentError("give exactly one of covariance and factor")
+        self.prototype = prototype   # (D,) class mean
+        self.count = count
+        self.factor = factor         # (n, D), C = F'F; fitted when 2*count < D, else None
+        self._dense = covariance     # (D, D); fitted when 2*count >= D, else None
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """(D, D) unbiased sample covariance, zero when count < 2."""
+        if self.factor is None:
+            return self._dense
+        c = self.factor.T @ self.factor
+        return (c + c.T) / 2.0
 
 
 @dataclass
@@ -44,21 +73,25 @@ class PrototypeStore:
 
 
 def fit_class_statistics(features, labels) -> dict[int, ClassStatistics]:
-    """Prototype, covariance, and count per distinct label."""
+    """Prototype, covariance (dense or factor, see the module docstring), and
+    count per distinct label."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] == 0:
         raise InvalidArgumentError("fit_class_statistics requires a non-empty feature matrix")
     if labels.shape[0] != features.shape[0]:
         raise InvalidArgumentError("labels must align with feature rows")
+    dim = features.shape[1]
     out: dict[int, ClassStatistics] = {}
     for cid in np.unique(labels):
         rows = features[labels == cid]
-        out[int(cid)] = ClassStatistics(
-            prototype=mean_rows(rows),
-            covariance=covariance(rows),
-            count=rows.shape[0],
-        )
+        n = rows.shape[0]
+        mu = mean_rows(rows)
+        if 2 * n >= dim:
+            out[int(cid)] = ClassStatistics(mu, covariance(rows), n)
+        else:
+            factor = (rows - mu) / math.sqrt(n - 1) if n >= 2 else np.zeros((0, dim))
+            out[int(cid)] = ClassStatistics(mu, None, n, factor=factor)
     return out
 
 

@@ -167,3 +167,27 @@ class TestRunExperiment:
         sched = TaskSchedule(8, 4, 1, 5, list(range(8)))
         with pytest.raises(InvalidArgumentError):
             run_experiment(cfg, sched, ds, spec)
+
+
+class TestDegenerateSchedules:
+    @pytest.mark.parametrize("per_class_train, dim, factored", [
+        (1, 5, True),     # every covariance is the empty (0, D) factor
+        (2, 4, False)])   # 2n == D stays dense
+    def test_few_samples_per_class_run_to_a_finite_head(self, per_class_train, dim,
+                                                         factored):
+        ds = synth_gaussian(8, dim, per_class_train, 3, 8.0, seed=2)
+        sched = TaskSchedule(8, 4, 2, 3, list(range(8)))
+        cfg = TrainConfig(epochs_task0=3, epochs_incremental=3, batch_size=4, seed=0)
+        states = []
+        records = run_experiment(cfg, sched, ds, ExtractorSpec("identity", dim, dim),
+                                 task_callback=states.append)
+        assert len(records) == 3
+        store, clf = states[-1].store, states[-1].clf
+        assert len(store) == 8
+        for cid in store.class_ids:
+            st = store.get(cid)
+            assert (st.factor is not None) == factored
+            if factored:
+                assert st.factor.shape == (0, dim)
+        assert clf.n_classes == 8
+        assert np.isfinite(clf.W).all() and np.isfinite(clf.b).all()

@@ -7,6 +7,7 @@ from pgpfr.classifier import adam_step, new_adam_state, new_classifier
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
 from pgpfr.losses import (LossConfig, LossValueGrad, proto_loss,
                           replay_ce_loss, tce_loss, total_loss, vpr_loss)
+from pgpfr.prototypes import ClassStatistics, PrototypeStore, fit_class_statistics
 from pgpfr.replay import MergedBatch
 from conftest import (fd_gradients, max_rel_error, random_store,
                       scalar_replay_ce, scalar_vpr)
@@ -172,6 +173,61 @@ class TestVprLoss:
             out = vpr_loss(store, clf, cfg)
             fw, fb = fd_gradients(lambda c: vpr_loss(store, c, cfg), clf)
             assert max_rel_error(out, fw, fb) < 1e-4
+
+
+def fitted_store(rng, counts, dim) -> PrototypeStore:
+    """Statistics fitted from random rows, counts[k] rows for class k."""
+    feats = rng.normal(size=(sum(counts), dim)) * 2.0
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return PrototypeStore(fit_class_statistics(feats, labels))
+
+
+def densified(store: PrototypeStore) -> PrototypeStore:
+    return PrototypeStore({cid: ClassStatistics(st.prototype, st.covariance, st.count)
+                           for cid, st in store.stats.items()})
+
+
+class TestVprFactorPath:
+    @pytest.mark.parametrize("counts, dim", [
+        ([2, 3, 2, 4], 12), ([20] * 6, 64), ([1, 2, 5], 11),
+        ([2, 9, 1, 4], 8)])   # the last mixes factor and dense classes
+    def test_matches_densified_store(self, rng, counts, dim):
+        store = fitted_store(rng, counts, dim)
+        assert any(st.factor is not None for st in store.stats.values())
+        clf = make_clf(rng, dim, len(counts) + 2)
+        cfg = LossConfig(gamma=0.8)
+        got = vpr_loss(store, clf, cfg)
+        want = vpr_loss(densified(store), clf, cfg)
+        assert abs(got.value - want.value) < 1e-12
+        assert np.abs(got.grad_W - want.grad_W).max() < 1e-12
+        assert np.abs(got.grad_b - want.grad_b).max() < 1e-12
+
+    def test_gradient_fd(self, rng):
+        cfg = LossConfig(gamma=1.0)
+        for counts in ([2, 3, 2], [1, 3, 2, 2]):
+            store = fitted_store(rng, counts, 7)
+            clf = make_clf(rng, 7, len(counts) + 1)
+            out = vpr_loss(store, clf, cfg)
+            fw, fb = fd_gradients(lambda c: vpr_loss(store, c, cfg), clf)
+            assert max_rel_error(out, fw, fb) < 1e-4
+
+    def test_matches_scalar_reference(self, rng):
+        store = fitted_store(rng, [2, 2, 2], 6)
+        assert all(st.factor.shape == (2, 6) for st in store.stats.values())
+        clf = make_clf(rng, 6, 3)
+        got = vpr_loss(store, clf, LossConfig(gamma=1.0)).value
+        want = scalar_vpr(store, clf.W, clf.b, gamma=1.0)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_single_sample_classes_add_no_penalty(self, rng):
+        store = fitted_store(rng, [1, 1, 1], 5)
+        assert all(st.factor.shape == (0, 5) for st in store.stats.values())
+        clf = make_clf(rng, 5, 4)
+        v = vpr_loss(store, clf, LossConfig(gamma=3.0))
+        p = proto_loss(store, clf)
+        assert v.value == pytest.approx(p.value, abs=1e-15)
+        assert np.abs(v.grad_W - p.grad_W).max() < 1e-15
+        assert np.abs(v.grad_b - p.grad_b).max() < 1e-15
 
 
 class TestTceLoss:

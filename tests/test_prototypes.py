@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
+from pgpfr.numerics import covariance
 from pgpfr.prototypes import (ClassStatistics, PrototypeStore,
                               batch_class_prototypes, fit_class_statistics,
                               register)
@@ -37,6 +38,37 @@ class TestFitClassStatistics:
         for cid in a:
             assert np.abs(a[cid].prototype - b[cid].prototype).max() < 1e-12
             assert np.abs(a[cid].covariance - b[cid].covariance).max() < 1e-12
+
+
+class TestCovarianceForms:
+    @pytest.mark.parametrize("n, dim, factored", [
+        (1, 3, True), (2, 5, True), (20, 512, True), (3, 7, True),
+        (1, 2, False), (3, 6, False), (4, 8, False), (200, 64, False)])
+    def test_factor_exactly_when_twice_count_below_dim(self, rng, n, dim, factored):
+        st = fit_class_statistics(rng.normal(size=(n, dim)), [0] * n)[0]
+        assert (st.factor is not None) == factored
+        assert st.covariance.shape == (dim, dim)
+        if factored:
+            assert st.factor.shape == ((n, dim) if n >= 2 else (0, dim))
+
+    @pytest.mark.parametrize("n, dim", [(2, 6), (5, 11), (20, 64), (1, 3)])
+    def test_dense_view_matches_covariance(self, rng, n, dim):
+        rows = rng.normal(size=(n, dim)) * 3.0 + rng.normal(size=dim)
+        st = fit_class_statistics(rows, [7] * n)[7]
+        assert st.factor is not None
+        assert np.abs(st.covariance - covariance(rows)).max() < 1e-12
+        assert np.array_equal(st.covariance, st.covariance.T)
+
+    def test_factor_class_holds_no_dense_matrix(self, rng):
+        st = fit_class_statistics(rng.normal(size=(20, 512)), [0] * 20)[0]
+        held = sum(v.nbytes for v in vars(st).values() if isinstance(v, np.ndarray))
+        assert held == (20 + 1) * 512 * 8   # factor and prototype
+
+    def test_exactly_one_form(self):
+        with pytest.raises(InvalidArgumentError):
+            ClassStatistics(np.zeros(2), None, 1)
+        with pytest.raises(InvalidArgumentError):
+            ClassStatistics(np.zeros(2), np.zeros((2, 2)), 2, factor=np.zeros((2, 2)))
 
 
 class TestBatchClassPrototypes:
