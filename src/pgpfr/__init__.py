@@ -14,7 +14,6 @@ from .numerics import cosine_sim, covariance, mean_rows
 from .prototypes import (ClassStatistics, PrototypeStore,
                          batch_class_prototypes, fit_class_statistics,
                          register)
-from .replay import (MergedBatch, PseudoBatch, assign_pseudo_label,
-                     generate_pseudo_batch, merge)
+from .replay import MergedBatch, PseudoBatch, generate_pseudo_batch, merge
 
 __version__ = "0.1.0"

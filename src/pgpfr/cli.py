@@ -134,15 +134,10 @@ def _build_dataset(cfg: dict) -> Dataset:
 
 
 def _build_loss_config(cfg: dict) -> LossConfig:
-    ls = cfg.get("losses", {})
-    return LossConfig(
-        temperature_R=ls.get("R", 0.3),
-        gamma=ls.get("gamma", 1.0),
-        enable_P=ls.get("enable_P", True),
-        enable_V=ls.get("enable_V", True),
-        enable_T=ls.get("enable_T", True),
-        enable_sharpening=ls.get("enable_sharpening", True),
-        enable_batch_proto=ls.get("enable_batch_proto", True))
+    ls = dict(cfg.get("losses", {}))
+    if "R" in ls:
+        ls["temperature_R"] = ls.pop("R")
+    return LossConfig(**ls)
 
 
 def _build_extractor_spec(cfg: dict, ds: Dataset) -> ExtractorSpec:
@@ -190,14 +185,7 @@ def cmd_run(config_path: str, overrides: list[str] | None = None) -> int:
         schedule = TaskSchedule(
             total_classes=len(order), k=sched_cfg["k"], d=sched_cfg["d"],
             n_tasks=sched_cfg["n_tasks"], class_order=order)
-        tr = cfg["train"]
-        train_cfg = TrainConfig(
-            epochs_task0=tr.get("epochs_task0", 150),
-            epochs_incremental=tr.get("epochs_incremental", 100),
-            batch_size=tr.get("batch_size", 32),
-            lr=tr.get("lr", 0.001),
-            seed=tr.get("seed", 0),
-            loss_cfg=_build_loss_config(cfg))
+        train_cfg = TrainConfig(**cfg["train"], loss_cfg=_build_loss_config(cfg))
         spec = _build_extractor_spec(cfg, ds)
         records = run_experiment(train_cfg, schedule, ds, spec)
         out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg["output_dir"]))

@@ -1,7 +1,8 @@
-"""Dense vector/matrix kernels used throughout the package.
+"""Dense matrix kernels used throughout the package.
 
 All arithmetic is float64. Functions are pure and accept anything
-numpy can coerce to an array.
+numpy can coerce to an array. cosine_sim scores every row of one matrix
+against every row of another in one call.
 """
 
 from __future__ import annotations
@@ -13,18 +14,25 @@ from .errors import InvalidArgumentError
 ZERO_NORM_EPS = 1e-12
 
 
-def cosine_sim(u, v) -> float:
-    """Cosine similarity; 0 by convention when either vector is (near) zero."""
+def cosine_sim(u, v) -> np.ndarray:
+    """Row-wise cosine matrix of (N, D) `u` and (M, D) `v`, shape (N, M).
+
+    Entry (i, j) is u_i . v_j / (|u_i| |v_j|), clipped to [-1, 1]. It is 0 by
+    convention when either row's norm is below ZERO_NORM_EPS.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise InvalidArgumentError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return 0.0
-    s = float(np.dot(u, v) / (nu * nv))
-    return max(-1.0, min(1.0, s))
+    if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
+        raise InvalidArgumentError(
+            f"cosine_sim needs (N, D) and (M, D) matrices, got {u.shape} and {v.shape}")
+    nu = np.linalg.norm(u, axis=1)
+    nv = np.linalg.norm(v, axis=1)
+    nonzero = (nu >= ZERO_NORM_EPS)[:, None] & (nv >= ZERO_NORM_EPS)[None, :]
+    # einsum reduces every pair in the same order, so equal rows score exactly
+    # equal; BLAS matmul's blocking can round them apart and break exact ties
+    dots = np.einsum("ij,kj->ik", u, v)
+    s = np.divide(dots, np.outer(nu, nv), out=np.zeros(nonzero.shape), where=nonzero)
+    return np.clip(s, -1.0, 1.0)
 
 
 def mean_rows(m) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Old-class pseudo features are built per batch by translating each new-class
 group so that its (batch) prototype lands on the most similar old-class
-prototype. Pseudo batches live for one optimizer step only.
+prototype. One cosine matrix of the batch's group prototypes against the
+store's prototypes assigns every group at once, and one gather translates
+every row. Pseudo batches live for one optimizer step only.
 """
 
 from __future__ import annotations
@@ -37,26 +39,17 @@ class MergedBatch:
         return self.features.shape[0]
 
 
-def assign_pseudo_label(batch_proto, store: PrototypeStore) -> int:
-    """Old class whose prototype is most cosine-similar; ties -> smallest id."""
-    if len(store) == 0:
-        raise InvalidStateError("prototype store is empty")
-    best_id, best_sim = -1, -np.inf
-    for cid in store.class_ids:
-        s = cosine_sim(batch_proto, store.get(cid).prototype)
-        if s > best_sim or (s == best_sim and cid < best_id):
-            best_id, best_sim = cid, s
-    return best_id
-
-
 def generate_pseudo_batch(features, labels, store: PrototypeStore,
                           group_prototypes: dict[int, np.ndarray] | None = None) -> PseudoBatch:
     """Translate each label group onto its assigned old-class prototype.
 
     Every row f of group n becomes f + mu_p - mu_hat_n with pseudo label p,
-    where mu_hat_n is the group's (batch) prototype and p the most similar
-    old class. `group_prototypes` overrides the batch prototypes, which
-    realizes the ablation that uses whole-task class prototypes instead.
+    where mu_hat_n is the group's (batch) prototype and p the old class whose
+    prototype is most cosine-similar to it. One (groups, old) `cosine_sim`
+    matrix scores every pair; a zero-norm prototype scores 0 against every
+    class, and ties go to the smallest class id. `group_prototypes` overrides
+    the batch prototypes, which realizes the ablation that uses whole-task
+    class prototypes instead; it must hold every label in the batch.
     """
     if len(store) == 0:
         raise InvalidStateError("prototype store is empty")
@@ -64,19 +57,26 @@ def generate_pseudo_batch(features, labels, store: PrototypeStore,
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] == 0:
         raise InvalidArgumentError("generate_pseudo_batch requires a non-empty batch")
-    protos = batch_class_prototypes(features, labels) if group_prototypes is None \
-        else group_prototypes
+    if labels.shape != features.shape[:1]:
+        raise InvalidArgumentError(f"{labels.size} labels for {features.shape[0]} feature rows")
+    if group_prototypes is None:
+        group_prototypes = batch_class_prototypes(features, labels)
+    ids = np.unique(labels)
+    missing = [int(cid) for cid in ids if int(cid) not in group_prototypes]
+    if missing:
+        raise InvalidArgumentError(f"group_prototypes lacks batch label(s) {missing}")
+    protos = np.stack([np.asarray(group_prototypes[int(cid)], dtype=np.float64) for cid in ids])
+    if protos.shape[1] != features.shape[1]:
+        raise InvalidArgumentError(
+            f"group prototypes have dim {protos.shape[1]}, features {features.shape[1]}")
+    inverse = np.searchsorted(ids, labels)
 
-    pseudo = np.empty_like(features)
-    pseudo_labels = np.empty(features.shape[0], dtype=np.int64)
-    for cid, proto in protos.items():
-        mask = labels == cid
-        if not mask.any():
-            continue
-        p = assign_pseudo_label(proto, store)
-        pseudo[mask] = features[mask] + (store.get(p).prototype - proto)
-        pseudo_labels[mask] = p
-    return PseudoBatch(pseudo, pseudo_labels)
+    # columns in ascending class id, so argmax's first maximum is the smallest id
+    old_ids = sorted(store.class_ids)
+    mu = np.stack([store.get(cid).prototype for cid in old_ids])
+    best = cosine_sim(protos, mu).argmax(axis=1)
+    return PseudoBatch(features + (mu[best] - protos)[inverse],
+                       np.array(old_ids, dtype=np.int64)[best][inverse])
 
 
 def merge(pseudo: PseudoBatch | None, real_features, real_labels) -> MergedBatch:

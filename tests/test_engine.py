@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgpfr.classifier import new_classifier
-from pgpfr.dataio import split_schedule, synth_gaussian
+from pgpfr.dataio import Dataset, class_order_for, split_schedule, synth_gaussian
 from pgpfr.engine import (ExperimentState, TaskSchedule, TrainConfig,
                           run_experiment, run_incremental_task, run_task0)
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
@@ -191,3 +193,39 @@ class TestDegenerateSchedules:
                 assert st.factor.shape == (0, dim)
         assert clf.n_classes == 8
         assert np.isfinite(clf.W).all() and np.isfinite(clf.b).all()
+
+    @given(dim=st.integers(1, 6), classes=st.integers(2, 4),
+           per_class_train=st.integers(1, 3), k=st.integers(1, 3), d=st.integers(1, 3),
+           n_tasks=st.integers(2, 3), batch_size=st.integers(1, 4),
+           epochs=st.integers(1, 2), batch_proto=st.booleans(),
+           dataset_ids=st.lists(st.integers(0, 1000), min_size=4, max_size=4, unique=True),
+           order_seed=st.none() | st.integers(0, 1000))
+    # one train sample per class, batch_size 1 < d, labels 3, 42, 500, 7, shuffled order
+    @example(dim=5, classes=4, per_class_train=1, k=1, d=3, n_tasks=2, batch_size=1,
+             epochs=2, batch_proto=True, dataset_ids=[3, 42, 500, 7], order_seed=5)
+    # 2n == D on the dense path, whole-task prototypes
+    @example(dim=6, classes=3, per_class_train=3, k=1, d=2, n_tasks=2, batch_size=2,
+             epochs=1, batch_proto=False, dataset_ids=[9, 1, 4, 0], order_seed=None)
+    @settings(max_examples=60, deadline=None)
+    def test_tiny_runs_finish_or_raise(self, dim, classes, per_class_train, k, d, n_tasks,
+                                       batch_size, epochs, batch_proto, dataset_ids,
+                                       order_seed):
+        synth = synth_gaussian(classes, dim, per_class_train, 2, 8.0, seed=3)
+        ds = Dataset(synth.features, np.asarray(dataset_ids)[synth.labels], synth.split)
+        order = class_order_for(ds, order_seed)
+        if k + (n_tasks - 1) * d > classes:
+            with pytest.raises(InvalidArgumentError):
+                TaskSchedule(classes, k, d, n_tasks, order)
+            return
+        cfg = TrainConfig(epochs_task0=epochs, epochs_incremental=epochs,
+                          batch_size=batch_size, seed=0,
+                          loss_cfg=LossConfig(enable_batch_proto=batch_proto))
+        states = []
+        records = run_experiment(cfg, TaskSchedule(classes, k, d, n_tasks, order), ds,
+                                 ExtractorSpec("identity", dim, dim),
+                                 task_callback=states.append)
+        assert len(records) == n_tasks
+        clf = states[-1].clf
+        assert np.isfinite(clf.W).all() and np.isfinite(clf.b).all()
+        for r in records:
+            assert 0.0 <= r.global_acc <= 1.0 and 0.0 <= r.local_acc <= 1.0

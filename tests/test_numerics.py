@@ -10,30 +10,49 @@ finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
 class TestCosineSim:
+    def test_shape(self):
+        assert cosine_sim(np.ones((3, 4)), np.ones((5, 4))).shape == (3, 5)
+
     def test_examples(self):
-        assert cosine_sim([1, 0], [1, 0]) == pytest.approx(1.0)
-        assert cosine_sim([1, 0], [0, 1]) == pytest.approx(0.0)
-        assert cosine_sim([1, 2], [2, 4]) == pytest.approx(1.0)
+        c = cosine_sim([[1, 0], [1, 2]], [[1, 0], [0, 1], [2, 4]])
+        assert c[0, 0] == pytest.approx(1.0)
+        assert c[0, 1] == pytest.approx(0.0)
+        assert c[1, 2] == pytest.approx(1.0)
 
     def test_zero_norm_convention(self):
-        assert cosine_sim([0, 0], [1, 2]) == 0.0
+        c = cosine_sim([[0, 0], [1, 0]], [[1, 2], [0, 0]])
+        assert c[0, 0] == 0.0 and c[0, 1] == 0.0 and c[1, 1] == 0.0
+        assert c[1, 0] == pytest.approx(1 / np.sqrt(5))
 
     def test_dim_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            cosine_sim([1, 2], [1, 2, 3])
+            cosine_sim([[1, 2]], [[1, 2, 3]])
+        with pytest.raises(InvalidArgumentError):
+            cosine_sim([1, 2], [1, 2])  # vectors, not (N, D) matrices
 
-    @given(st.lists(finite_floats, min_size=2, max_size=6),
+    def test_equal_rows_score_exactly_equal(self, rng):
+        # the pseudo-label tie rule needs bitwise-equal scores for equal
+        # prototypes, at any column position
+        c = cosine_sim(rng.normal(size=(3, 64)), np.tile(rng.normal(size=64), (23, 1)))
+        assert (c == c[:, :1]).all()
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6), st.data(),
            st.floats(min_value=0.1, max_value=10),
            st.floats(min_value=0.1, max_value=10))
     @settings(max_examples=50)
-    def test_scale_invariance_and_symmetry(self, v, alpha, beta):
-        u = np.asarray(v) + 1.0  # avoid the zero vector
-        w = np.asarray(v) - 0.5
-        if np.linalg.norm(u) < 1e-6 or np.linalg.norm(w) < 1e-6:
+    def test_scale_invariance_and_symmetry(self, n, m, dim, data, alpha, beta):
+        def matrix(rows):
+            return np.asarray(data.draw(st.lists(
+                st.lists(finite_floats, min_size=dim, max_size=dim),
+                min_size=rows, max_size=rows)))
+        u = matrix(n) + 1.0  # shifted away from the zero vector
+        w = matrix(m) - 0.5
+        if (np.linalg.norm(u, axis=1) < 1e-6).any() or (np.linalg.norm(w, axis=1) < 1e-6).any():
             return
-        assert cosine_sim(alpha * u, beta * w) == pytest.approx(cosine_sim(u, w), abs=1e-12)
-        assert cosine_sim(u, w) == pytest.approx(cosine_sim(w, u), abs=1e-12)
-        assert -1.0 <= cosine_sim(u, w) <= 1.0
+        c = cosine_sim(u, w)
+        assert np.abs(cosine_sim(alpha * u, beta * w) - c).max() <= 1e-12
+        assert np.abs(cosine_sim(w, u).T - c).max() <= 1e-12
+        assert (np.abs(c) <= 1.0).all()
 
 
 class TestMeanRows:

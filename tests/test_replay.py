@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
-from pgpfr.numerics import covariance
+from pgpfr.numerics import ZERO_NORM_EPS, covariance
 from pgpfr.prototypes import ClassStatistics, PrototypeStore
-from pgpfr.replay import (assign_pseudo_label, generate_pseudo_batch, merge)
+from pgpfr.replay import generate_pseudo_batch, merge
 from conftest import random_store
+
+coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_subnormal=False)
 
 
 def store_with_protos(protos):
@@ -14,26 +18,76 @@ def store_with_protos(protos):
         for cid, p in protos.items()})
 
 
+def assigned_label(batch_proto, store) -> int:
+    """Pseudo label of a one-row batch, whose prototype is that row."""
+    return int(generate_pseudo_batch([batch_proto], [99], store).labels[0])
+
+
+def reference_label(batch_proto, store) -> tuple[int, dict]:
+    """Per-pair cosine argmax with plain np.dot; ties -> smallest id."""
+    u = np.asarray(batch_proto, dtype=float)
+    scores = {}
+    for cid in store.class_ids:
+        v = store.get(cid).prototype
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        scores[cid] = 0.0 if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS \
+            else float(np.dot(u, v) / (nu * nv))
+    best = max(scores.values())
+    return min(cid for cid, s in scores.items() if s == best), scores
+
+
 class TestAssignPseudoLabel:
     def test_exact_match_wins(self):
         store = store_with_protos({0: [1, 0], 1: [0, 1], 2: [-1, 0]})
-        assert assign_pseudo_label([0, 1], store) == 1
+        assert assigned_label([0, 1], store) == 1
 
     def test_single_class_store(self):
         store = store_with_protos({4: [3, 3]})
-        assert assign_pseudo_label([-10, 2], store) == 4
+        assert assigned_label([-10, 2], store) == 4
 
     def test_computed_cosines(self):
         store = store_with_protos({0: [0.9, 0.1], 1: [-1, 0]})
-        assert assign_pseudo_label([1, 0], store) == 0
+        assert assigned_label([1, 0], store) == 0
 
     def test_tie_breaks_to_smallest_id(self):
         store = store_with_protos({3: [1, 0], 1: [2, 0]})  # both cosine 1
-        assert assign_pseudo_label([5, 0], store) == 1
+        assert assigned_label([5, 0], store) == 1
 
     def test_empty_store(self):
         with pytest.raises(InvalidStateError):
-            assign_pseudo_label([1, 0], PrototypeStore())
+            generate_pseudo_batch([[1.0, 0.0]], [99], PrototypeStore())
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_pair_cosine_argmax(self, data):
+        dim = data.draw(st.integers(1, 40), label="dim")
+        vec = st.lists(coords, min_size=dim, max_size=dim)
+        ids = data.draw(st.lists(st.integers(0, 50), min_size=1, max_size=12, unique=True),
+                        label="store ids (insertion order)")
+        protos = {cid: data.draw(vec, label=f"prototype {cid}") for cid in ids}
+        # exact duplicates force ties between distinct ids
+        for cid in data.draw(st.lists(st.sampled_from(ids), max_size=3), label="copies"):
+            protos[cid] = protos[data.draw(st.sampled_from(ids), label="copied from")]
+        store = store_with_protos(protos)
+        groups = data.draw(st.lists(vec, min_size=1, max_size=4), label="group rows")
+        rows = [np.asarray(g, dtype=float) for g in groups]
+        labels = list(range(len(rows)))
+        if data.draw(st.booleans(), label="zero-prototype group"):
+            rows += [rows[0], -rows[0]]  # its mean is exactly 0
+            labels += [len(groups), len(groups)]
+        rows, labels = np.asarray(rows), np.asarray(labels)
+        pb = generate_pseudo_batch(rows, labels, store)
+        for g in np.unique(labels):
+            sel = labels == g
+            proto = rows[sel].mean(axis=0)
+            expected, scores = reference_label(proto, store)
+            # a near-tie between different prototypes may round either way
+            top = [cid for cid, s in scores.items() if s >= scores[expected] - 1e-9]
+            assume(all(np.array_equal(protos[c], protos[expected]) for c in top)
+                   or np.linalg.norm(proto) < ZERO_NORM_EPS)
+            assert (pb.labels[sel] == expected).all()
+            translated = rows[sel] + store.get(expected).prototype - proto
+            assert np.abs(pb.features[sel] - translated).max() < 1e-12
 
 
 class TestGeneratePseudoBatch:
@@ -91,6 +145,25 @@ class TestGeneratePseudoBatch:
             generate_pseudo_batch([[1.0, 2.0]], [0], PrototypeStore())
         with pytest.raises(InvalidArgumentError):
             generate_pseudo_batch(np.empty((0, 2)), [], random_store(rng, 2, 2))
+
+    def test_group_prototypes_missing_a_batch_label(self):
+        store = store_with_protos({0: [1, 0]})
+        with pytest.raises(InvalidArgumentError, match=r"\[5\]"):
+            generate_pseudo_batch([[1.0, 1.0], [2.0, 2.0]], [4, 5], store,
+                                  group_prototypes={4: np.array([1.0, 0.0])})
+
+    def test_group_prototype_dim_must_match_features(self):
+        store = store_with_protos({0: [1, 0]})
+        with pytest.raises(InvalidArgumentError, match="dim 2, features 3"):
+            generate_pseudo_batch([[1.0, 1.0, 1.0]], [4], store,
+                                  group_prototypes={4: np.array([1.0, 0.0])})
+
+    @pytest.mark.parametrize("group_prototypes", [None, {4: np.array([1.0, 0.0])}])
+    def test_label_count_must_match_rows(self, group_prototypes):
+        store = store_with_protos({0: [1, 0]})
+        with pytest.raises(InvalidArgumentError, match="3 labels for 2 feature rows"):
+            generate_pseudo_batch([[1.0, 1.0], [2.0, 2.0]], [4, 4, 4], store,
+                                  group_prototypes=group_prototypes)
 
 
 class TestMerge:
