@@ -123,7 +123,8 @@ def load_dataset(path) -> Dataset:
 def load_csv(path) -> Dataset:
     """Convenience import: header `label,split,f0..f{D-1}`; split may be a
     0/1 integer or the strings train/test."""
-    rows = []
+    split_map = {"train": TRAIN, "test": TEST, "0": TRAIN, "1": TEST}
+    labels, split, feats = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -131,19 +132,21 @@ def load_csv(path) -> Dataset:
             raise DatasetValidationError("CSV header must be label,split,f0..")
         dim = len(header) - 2
         for line in reader:
+            where = f"CSV line {reader.line_num}"
             if len(line) != dim + 2:
-                raise DatasetValidationError(f"CSV row has {len(line)} fields, expected {dim + 2}")
-            rows.append(line)
-    if not rows:
+                raise DatasetValidationError(f"{where} has {len(line)} fields, expected {dim + 2}")
+            if line[1].strip() not in split_map:
+                raise DatasetValidationError(f"{where}: bad split value {line[1]!r}")
+            try:
+                labels.append(int(line[0]))
+                feats.append([float(v) for v in line[2:]])
+            except ValueError as exc:
+                raise DatasetValidationError(f"{where}: {exc}") from None
+            split.append(split_map[line[1].strip()])
+    if not labels:
         raise DatasetValidationError("CSV has no data rows")
-    split_map = {"train": TRAIN, "test": TEST, "0": TRAIN, "1": TEST}
-    labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    try:
-        split = np.array([split_map[r[1].strip()] for r in rows], dtype=np.uint8)
-    except KeyError as exc:
-        raise DatasetValidationError(f"bad split value {exc}") from exc
-    feats = np.array([[float(v) for v in r[2:]] for r in rows], dtype=np.float32)
-    ds = Dataset(feats, labels, split)
+    ds = Dataset(np.array(feats, dtype=np.float32), np.array(labels, dtype=np.int64),
+                 np.array(split, dtype=np.uint8))
     ds.validate()
     return ds
 
@@ -197,8 +200,10 @@ def synth_gaussian(classes: int, dim: int, per_class_train: int, per_class_test:
     sphere, unit isotropic noise, train/test drawn independently."""
     if classes < 1 or dim < 1 or per_class_train < 1 or per_class_test < 1:
         raise InvalidArgumentError("synth_gaussian requires positive counts and dims")
-    if separation < 0:
-        raise InvalidArgumentError(f"separation must be >= 0, got {separation}")
+    if not (separation >= 0 and np.isfinite(separation)):
+        raise InvalidArgumentError(f"separation must be finite and >= 0, got {separation}")
+    if seed < 0:
+        raise InvalidArgumentError(f"synth seed must be >= 0, got {seed}")
 
     mean_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_SYNTH_MEANS]))
     means = mean_rng.normal(size=(classes, dim))
@@ -223,5 +228,7 @@ def class_order_for(ds: Dataset, seed: int | None) -> list[int]:
     ids = ds.class_ids
     if seed is None:
         return ids
+    if seed < 0:
+        raise InvalidArgumentError(f"class order seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_CLASS_ORDER]))
     return [ids[i] for i in rng.permutation(len(ids))]

@@ -1,9 +1,12 @@
 """Experiment orchestration for class-incremental training.
 
 Task 0 trains the backbone and head jointly with plain cross-entropy, then
-freezes the backbone for good. Every later task expands the head, trains it
-per batch on merged pseudo+real features with the configured losses, and
-registers the new classes' statistics at the end.
+freezes the backbone for good. From then on a sample's feature is a fixed
+function of its input, so each task embeds its train set once and its test
+set once: the training batches, the class statistics and the evaluation all
+read those arrays. Every later task expands the head, trains it per batch
+on merged pseudo+real features with the configured losses, and registers
+the new classes' statistics at the end.
 
 Dataset class ids are remapped to head row indices via the schedule's class
 order; all metrics are computed in that row space.
@@ -12,7 +15,7 @@ order; all metrics are computed in that row space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +63,8 @@ class TrainConfig:
             raise InvalidArgumentError("epoch counts must be >= 0")
         if self.batch_size < 1 or self.lr <= 0:
             raise InvalidArgumentError("batch_size and lr must be positive")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"train seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -69,7 +74,8 @@ class ExperimentState:
     store: PrototypeStore
     metrics: list[MetricsRecord] = field(default_factory=list)
     label_map: dict[int, int] = field(default_factory=dict)
-    # accumulated test pool (raw inputs + row labels) for global evaluation
+    # accumulated test pool for global evaluation: one block of frozen-backbone
+    # features per task, and the matching head row labels
     test_features: list[np.ndarray] = field(default_factory=list)
     test_labels: list[np.ndarray] = field(default_factory=list)
     task0_classes: int = 0
@@ -79,35 +85,33 @@ def _rows(state: ExperimentState, labels) -> np.ndarray:
     return np.array([state.label_map[int(c)] for c in labels], dtype=np.int64)
 
 
-def _evaluate(state: ExperimentState, current: TaskDataset) -> MetricsRecord:
-    x_all = np.vstack(state.test_features)
+def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndarray,
+                 train_rows: np.ndarray) -> None:
+    """Check the head, register the task's class statistics from its embedded
+    train set, add its embedded test set to the pool, and record G and L.
+
+    G, L and the old/new accuracies come from one prediction over the pool;
+    L reads the pool's last block, the current task's test set.
+    """
+    if not (np.isfinite(state.clf.W).all() and np.isfinite(state.clf.b).all()):
+        raise InvalidStateError(
+            f"task {data.task_index} diverged: the head's W or b is non-finite")
+    state.store = register(state.store, fit_class_statistics(train_feats, train_rows))
+    state.test_features.append(state.extractor.embed_batch(data.test_features))
+    state.test_labels.append(_rows(state, data.test_labels))
+
     y_all = np.concatenate(state.test_labels)
-    preds = clf_mod.predict(state.clf, state.extractor.embed_batch(x_all))
+    preds = clf_mod.predict(state.clf, np.vstack(state.test_features))
+    n_before = len(y_all) - len(state.test_labels[-1])
     g = accuracy(preds, y_all)
-
-    cur_rows = _rows(state, current.test_labels)
-    cur_preds = clf_mod.predict(
-        state.clf, state.extractor.embed_batch(current.test_features))
-    local = accuracy(cur_preds, cur_rows)
-
+    local = accuracy(preds[n_before:], y_all[n_before:])
     old_sel = y_all < state.task0_classes
     old_acc = accuracy(preds[old_sel], y_all[old_sel])
     new_sel = ~old_sel
     new_acc = accuracy(preds[new_sel], y_all[new_sel]) if new_sel.any() else float("nan")
-    return MetricsRecord(
+    state.metrics.append(MetricsRecord(
         task_index=len(state.metrics), global_acc=g, local_acc=local,
-        ifm=ifm(local, g), old_acc=old_acc, new_acc=new_acc)
-
-
-def _register_task_statistics(state: ExperimentState, data: TaskDataset) -> None:
-    feats = state.extractor.embed_batch(np.asarray(data.train_features, dtype=np.float64))
-    stats = fit_class_statistics(feats, _rows(state, data.train_labels))
-    state.store = register(state.store, stats)
-
-
-def _check_head_finite(clf: clf_mod.IncrementalClassifier, task: int) -> None:
-    if not (np.isfinite(clf.W).all() and np.isfinite(clf.b).all()):
-        raise InvalidStateError(f"task {task} diverged: the head's W or b is non-finite")
+        ifm=ifm(local, g), old_acc=old_acc, new_acc=new_acc))
 
 
 def run_task0(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> ExperimentState:
@@ -118,20 +122,12 @@ def run_task0(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> Ex
         raise InvalidStateError(
             f"classifier has {state.clf.n_classes} classes, task 0 brings "
             f"{len(data.class_ids)}")
-    remapped = TaskDataset(
-        task_index=0, class_ids=data.class_ids,
-        train_features=data.train_features,
-        train_labels=_rows(state, data.train_labels),
-        test_features=data.test_features,
-        test_labels=data.test_labels)
-    ext_mod.train_task0(state.extractor, remapped, state.clf, cfg)
-    _check_head_finite(state.clf, data.task_index)
+    rows = _rows(state, data.train_labels)
+    ext_mod.train_task0(state.extractor, replace(data, task_index=0, train_labels=rows),
+                        state.clf, cfg)
     state.extractor.freeze()
     state.task0_classes = len(data.class_ids)
-    _register_task_statistics(state, data)
-    state.test_features.append(np.asarray(data.test_features, dtype=np.float64))
-    state.test_labels.append(_rows(state, data.test_labels))
-    state.metrics.append(_evaluate(state, data))
+    _finish_task(state, data, state.extractor.embed_batch(data.train_features), rows)
     return state
 
 
@@ -139,9 +135,10 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
                          cfg: TrainConfig) -> ExperimentState:
     """Expand the head and retrain it on one incremental task.
 
-    Per batch: embed, optionally generate and merge a pseudo batch, then
-    take one Adam step on the sum of the enabled losses. The backbone and
-    the prototype store are read-only throughout. A non-finite step loss or
+    The train set is embedded once up front. Per batch: gather its rows'
+    features, optionally generate and merge a pseudo batch, then take one
+    Adam step on the sum of the enabled losses. The backbone and the
+    prototype store are read-only throughout. A non-finite step loss or
     head raises InvalidStateError.
     """
     if not state.extractor.frozen:
@@ -157,27 +154,23 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
     n_old = len(state.store)
     adam = clf_mod.new_adam_state(state.clf.params, lr=cfg.lr)
 
-    x_all = np.asarray(data.train_features, dtype=np.float64)
+    feats_all = state.extractor.embed_batch(data.train_features)
     y_all = _rows(state, data.train_labels)
 
     group_protos = None
     if lc.enable_P and not lc.enable_batch_proto:
         # ablation: translate by whole-task class prototypes instead of batch means
-        feats_all = state.extractor.embed_batch(x_all)
         group_protos = {cid: feats_all[y_all == cid].mean(axis=0)
                         for cid in np.unique(y_all)}
 
     for epoch in range(cfg.epochs_incremental):
         for step, idx in enumerate(batches(data, cfg.batch_size, cfg.seed, epoch)):
-            feats = state.extractor.embed_batch(x_all[idx])
-            y = y_all[idx]
+            feats, y = feats_all[idx], y_all[idx]
+            pseudo = None
             if lc.enable_P:
                 pseudo = generate_pseudo_batch(feats, y, state.store,
                                                group_prototypes=group_protos)
-                merged = merge(pseudo, feats, y)
-            else:
-                merged = merge(None, feats, y)
-            components = [replay_ce_loss(merged, state.clf, n_old, lc)]
+            components = [replay_ce_loss(merge(pseudo, feats, y), state.clf, n_old, lc)]
             if lc.enable_V:
                 components.append(vpr_loss(state.store, state.clf, lc))
             if lc.enable_T:
@@ -187,12 +180,8 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
                 raise InvalidStateError(
                     f"task {data.task_index} diverged: loss {total.value} at epoch {epoch}, step {step}")
             clf_mod.adam_step(state.clf, total, adam)
-    _check_head_finite(state.clf, data.task_index)
 
-    _register_task_statistics(state, data)
-    state.test_features.append(np.asarray(data.test_features, dtype=np.float64))
-    state.test_labels.append(_rows(state, data.test_labels))
-    state.metrics.append(_evaluate(state, data))
+    _finish_task(state, data, feats_all, y_all)
     return state
 
 

@@ -1,9 +1,29 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pgpfr.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, as the `pgpfr` script would."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "pgpfr.cli", *map(str, args)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def assert_one_line_error(proc, code):
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def write_config(tmp_path, **overrides):
@@ -84,6 +104,28 @@ class TestRun:
         cfg.write_text(json.dumps(raw))
         assert main(["run", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("override", [
+        "synth.seed=-1", "schedule.class_order_seed=-1", "train.seed=-1",
+        "extractor.seed=-1"])
+    def test_negative_seed_exits_1(self, tmp_path, override):
+        proc = run_cli("run", write_config(tmp_path), "--set", override)
+        assert_one_line_error(proc, 1)
+        assert "seed must be >= 0, got -1" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row", ["0,test,abc", "abc,test,1.0"])
+    def test_non_numeric_csv_value_exits_1(self, tmp_path, row):
+        data = tmp_path / "d.csv"
+        data.write_text(f"label,split,f0\n0,train,1.0\n{row}\n")
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        del raw["synth"]
+        raw["dataset"] = str(data)
+        cfg.write_text(json.dumps(raw))
+        proc = run_cli("run", cfg)
+        assert_one_line_error(proc, 1)
+        assert "CSV line 3" in proc.stderr
+
     def test_reruns_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg)]) == 0
@@ -131,6 +173,18 @@ class TestSynth:
 
     def test_bad_dim_exits_2(self, tmp_path, capsys):
         assert main(["synth", "--dim", "0", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "synth seed must be >= 0, got -1"),
+        ("--separation", "nan", "separation must be finite and >= 0, got nan"),
+        ("--separation", "inf", "separation must be finite and >= 0, got inf"),
+    ])
+    def test_bad_value_exits_2_without_a_file(self, tmp_path, flag, value, message):
+        out = tmp_path / "d.pgfr"
+        proc = run_cli("synth", "--classes", "3", "--dim", "4", flag, value, "--out", out)
+        assert_one_line_error(proc, 2)
+        assert proc.stderr == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestInspect:

@@ -92,6 +92,19 @@ class TestCsvImport:
         with pytest.raises(DatasetValidationError):
             load_csv(p)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,test,abc", "CSV line 3: could not convert string to float: 'abc'"),
+        ("x,test,1.0", "CSV line 3: invalid literal for int() with base 10: 'x'"),
+        ("0,valid,1.0", "CSV line 3: bad split value 'valid'"),
+        ("0,test", "CSV line 3 has 2 fields, expected 3"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"label,split,f0\n0,train,1.0\n{row}\n")
+        with pytest.raises(DatasetValidationError) as info:
+            load_csv(p)
+        assert str(info.value) == message
+
 
 class TestSplitSchedule:
     def test_shrec_style(self):
@@ -190,6 +203,11 @@ class TestSynthGaussian:
             synth_gaussian(3, 0, 5, 2, 1.0, seed=0)
         with pytest.raises(InvalidArgumentError):
             synth_gaussian(3, 4, 5, 2, -1.0, seed=0)
+        for separation in (float("nan"), float("inf")):
+            with pytest.raises(InvalidArgumentError, match="separation must be finite"):
+                synth_gaussian(3, 4, 5, 2, separation, seed=0)
+        with pytest.raises(InvalidArgumentError, match="synth seed must be >= 0"):
+            synth_gaussian(3, 4, 5, 2, 1.0, seed=-1)
 
     def test_validates(self):
         ds = synth_gaussian(3, 4, 5, 2, 1.0, seed=0)
@@ -218,3 +236,8 @@ class TestClassOrder:
         order = class_order_for(ds, 5)
         assert sorted(order) == list(range(8))
         assert class_order_for(ds, 5) == order
+
+    def test_negative_seed_rejected(self):
+        ds = synth_gaussian(3, 4, 2, 1, 1.0, seed=0)
+        with pytest.raises(InvalidArgumentError, match="class order seed must be >= 0"):
+            class_order_for(ds, -1)

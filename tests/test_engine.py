@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgpfr.classifier import new_classifier
+from pgpfr.classifier import new_classifier, predict
 from pgpfr.dataio import Dataset, class_order_for, split_schedule, synth_gaussian
 from pgpfr.engine import (ExperimentState, TaskSchedule, TrainConfig,
                           run_experiment, run_incremental_task, run_task0)
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
-from pgpfr.extractor import ExtractorSpec, init
+from pgpfr.extractor import Extractor, ExtractorSpec, init
 from pgpfr.losses import LossConfig
+from pgpfr.metrics import accuracy
 from pgpfr.prototypes import PrototypeStore
 
 
@@ -30,6 +31,11 @@ def fresh_state(sched, spec, cfg):
         clf=new_classifier(spec.feature_dim, sched.k, cfg.seed),
         store=PrototypeStore(),
         label_map={c: i for i, c in enumerate(sched.class_order)})
+
+
+def test_train_config_rejects_negative_seed():
+    with pytest.raises(InvalidArgumentError, match="train seed must be >= 0"):
+        TrainConfig(seed=-1)
 
 
 class TestRunTask0:
@@ -169,6 +175,57 @@ class TestRunExperiment:
         sched = TaskSchedule(8, 4, 1, 5, list(range(8)))
         with pytest.raises(InvalidArgumentError):
             run_experiment(cfg, sched, ds, spec)
+
+
+class TestEmbedOnce:
+    """The backbone is frozen after task 0, so each task embeds its train and
+    test sets exactly once and every consumer reads those features."""
+
+    @staticmethod
+    def _setup(kind, **loss_kw):
+        ds, _, cfg, _ = small_setup(**loss_kw)
+        sched = TaskSchedule(6, 3, 1, 4, class_order_for(ds, 3))
+        spec = ExtractorSpec(kind, 6, 6 if kind == "identity" else 4, hidden_dim=8)
+        return ds, sched, cfg, spec
+
+    @pytest.mark.parametrize("batch_proto", [True, False])
+    def test_rows_embedded_equal_train_plus_test_rows(self, monkeypatch, batch_proto):
+        ds, sched, cfg, spec = self._setup("mlp1", enable_batch_proto=batch_proto)
+        rows = []
+        embed = Extractor.embed_batch
+
+        def counting(self, x):
+            rows.append(len(x))
+            return embed(self, x)
+
+        monkeypatch.setattr(Extractor, "embed_batch", counting)
+        run_experiment(cfg, sched, ds, spec)
+        tasks = split_schedule(ds, sched)
+        assert sum(rows) == sum(len(t.train_labels) + len(t.test_labels) for t in tasks)
+        assert len(rows) == 2 * sched.n_tasks
+
+    @pytest.mark.parametrize("kind", ["identity", "mlp1"])
+    def test_records_match_a_direct_evaluation(self, kind):
+        ds, sched, cfg, spec = self._setup(kind)
+        tasks = split_schedule(ds, sched)
+        checked = []
+
+        def check(state):
+            seen = tasks[:len(state.metrics)]
+            blocks = [state.extractor.embed_batch(t.test_features) for t in seen]
+            labels = [np.array([state.label_map[int(c)] for c in t.test_labels])
+                      for t in seen]
+            assert len(state.test_features) == len(blocks)
+            for pooled, block in zip(state.test_features, blocks):
+                assert np.array_equal(pooled, block)
+            g = accuracy(predict(state.clf, np.vstack(blocks)), np.concatenate(labels))
+            local = accuracy(predict(state.clf, blocks[-1]), labels[-1])
+            record = state.metrics[-1]
+            assert (record.global_acc, record.local_acc) == (g, local)
+            checked.append(record.task_index)
+
+        run_experiment(cfg, sched, ds, spec, task_callback=check)
+        assert checked == list(range(sched.n_tasks))
 
 
 class TestDegenerateSchedules:

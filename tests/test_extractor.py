@@ -37,6 +37,8 @@ class TestInit:
             ExtractorSpec("mlp1", 4, 4, hidden_dim=0)
         with pytest.raises(InvalidArgumentError):
             ExtractorSpec("conv", 4, 4)
+        with pytest.raises(InvalidArgumentError, match="extractor seed must be >= 0"):
+            ExtractorSpec("mlp1", 4, 3, hidden_dim=5, seed=-1)
 
 
 class TestEmbed:
