@@ -114,6 +114,8 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
         raise ConfigError("config needs exactly one of 'dataset' or 'synth'")
     _require(raw, ("schedule", "train", "output_dir"), "config")
     _require(raw["schedule"], ("k", "d", "n_tasks"), "schedule")
+    if "synth" in raw:
+        _require(raw["synth"], ("classes", "dim"), "synth")
     return raw
 
 
@@ -123,8 +125,7 @@ def _build_dataset(cfg: dict) -> Dataset:
         if str(path).endswith(".csv"):
             return load_csv(path)
         return load_dataset(path)
-    s = dict(cfg["synth"])
-    _require(s, ("classes", "dim"), "synth")
+    s = cfg["synth"]
     return synth_gaussian(
         classes=s["classes"], dim=s["dim"],
         per_class_train=s.get("per_class_train", 100),

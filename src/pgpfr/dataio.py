@@ -121,8 +121,9 @@ def load_dataset(path) -> Dataset:
 
 
 def load_csv(path) -> Dataset:
-    """Convenience import: header `label,split,f0..f{D-1}`; split may be a
-    0/1 integer or the strings train/test."""
+    """Convenience import: header `label,split,f0..f{D-1}`; labels must lie
+    in [0, 2**32), as in the binary format; split may be a 0/1 integer or
+    the strings train/test."""
     split_map = {"train": TRAIN, "test": TEST, "0": TRAIN, "1": TEST}
     labels, split, feats = [], [], []
     with open(path, newline="") as fh:
@@ -142,6 +143,8 @@ def load_csv(path) -> Dataset:
                 feats.append([float(v) for v in line[2:]])
             except ValueError as exc:
                 raise DatasetValidationError(f"{where}: {exc}") from None
+            if not 0 <= labels[-1] < 2 ** 32:
+                raise DatasetValidationError(f"{where}: label {labels[-1]} outside [0, 2**32)")
             split.append(split_map[line[1].strip()])
     if not labels:
         raise DatasetValidationError("CSV has no data rows")

@@ -139,13 +139,11 @@ def vpr_loss(store: PrototypeStore, clf: IncrementalClassifier,
     gamma * (w_c - w_k)' C_k (w_c - w_k); the c = k term is exactly zero,
     so gamma = 0 (or all-zero covariances) reduces to proto_loss.
 
-    Cost per old class k, with No old classes and D features: against a
-    dense C_k the penalty and its gradient take 2*No*D*D flops; against a
-    factor F_k (n_k, D) with C_k = F_k'F_k they take 4*No*n_k*D, because
-    the penalty is the squared norm of t = F_k (w_c - w_k) and its gradient
-    is F_k't. Factor classes are stacked into two (No, N) x (N, D) products
-    per call, N = sum of n_k. The linear scores and the prototype part of
-    the gradient are shared by both forms and computed once per call.
+    Each C_k is held as a root F_k (r_k, D) with C_k = F_k'F_k, r_k =
+    min(n_k, D), so the penalty is the squared norm of t = F_k (w_c - w_k)
+    and its gradient is F_k't: 4*No*r_k*D flops per old class k, with No old
+    classes and D features. The roots are stacked into two (No, N) x (N, D)
+    products per call, N = sum of r_k.
     """
     if len(store) == 0:
         raise InvalidStateError("prototype store is empty")
@@ -156,39 +154,22 @@ def vpr_loss(store: PrototypeStore, clf: IncrementalClassifier,
     wo, bo = clf.W[old_ids], clf.b[old_ids]
     n_old = len(old_ids)
 
-    scores = mu @ wo.T + bo                             # scores[k, c] = w_c . mu_k + b_c
-    logp = np.empty_like(scores)                        # logp[k]: log-softmax row of class k
-    pen = np.zeros_like(wo)                             # sum over k of p_k[c] C_k (w_c - w_k)
-    for k, st in enumerate(stats):
-        if st.factor is not None:
-            continue
-        diffs = wo - wo[k]                              # (No, D)
-        cd = diffs @ st.covariance                      # C_k (w_c - w_k), C_k symmetric
-        q = np.einsum("nd,nd->n", cd, diffs)
-        q[k] = 0.0
-        logp[k] = _log_softmax(scores[k] + gamma * q)
-        g = np.exp(logp[k])[:, None] * cd
-        pen += g
-        pen[k] -= g.sum(axis=0)                         # w_k is in every penalty term
-
-    fac = np.array([k for k, st in enumerate(stats) if st.factor is not None])
-    if fac.size:
-        sizes = np.array([len(stats[k].factor) for k in fac])
-        f = np.concatenate([stats[k].factor for k in fac])   # (N, D), grouped by class
-        local = np.repeat(np.arange(fac.size), sizes)   # row j of f belongs to fac[local[j]]
-        owner, cols = fac[local], np.arange(len(f))
-        a = wo @ f.T
-        t = a - a[owner, cols]                          # t[c, j] = f_j . (w_c - w_owner)
-        q = np.zeros((fac.size, n_old))                 # classes with n_k < 2 keep q = 0
-        nonempty = sizes > 0
-        starts = np.cumsum(sizes)[nonempty] - sizes[nonempty]
-        q[nonempty] = np.add.reduceat(t * t, starts, axis=1).T
-        logp[fac] = _log_softmax(scores[fac] + gamma * q)
-        m = np.exp(logp[fac])[local].T * t              # p_owner[c] * t[c, j]
-        m[owner, cols] -= m.sum(axis=0)                 # w_owner is in every penalty term
-        pen += m @ f
-
+    sizes = np.array([len(st.factor) for st in stats])
+    f = np.concatenate([st.factor for st in stats])    # (N, D), grouped by class
+    owner = np.repeat(np.arange(n_old), sizes)          # row j of f belongs to class owner[j]
+    cols = np.arange(len(f))
+    t = wo @ f.T
+    t -= t[owner, cols]                                 # t[c, j] = f_j . (w_c - w_owner)
+    q = np.zeros((n_old, n_old))                        # classes with n_k < 2 keep q = 0
+    nonempty = sizes > 0
+    starts = np.cumsum(sizes)[nonempty] - sizes[nonempty]
+    q[nonempty] = np.add.reduceat(t * t, starts, axis=1).T
+    logp = _log_softmax(mu @ wo.T + bo + gamma * q)     # logp[k]: log-softmax row of class k
     probs = np.exp(logp)
+    t *= probs.T[:, owner]                              # p_owner[c] * t[c, j]
+    t[owner, cols] -= t.sum(axis=0)                     # w_owner is in every penalty term
+    pen = t @ f                                         # sum over k of p_k[c] C_k (w_c - w_k)
+
     value = -float(np.trace(logp))                      # logp[k, k]: class k at its own prototype
     # d s_c / d w_c = mu_k + 2 gamma C_k (w_c - w_k): the prototype part sums
     # p_k[c] mu_k over k, minus mu_k at c = k

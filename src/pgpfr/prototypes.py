@@ -3,14 +3,11 @@
 Statistics are computed once per task over frozen-backbone features and
 accumulate in a PrototypeStore that only ever grows.
 
-A class's unbiased covariance C is held in one of two exact forms, picked
-from its sample count n and the feature dimension D alone:
-  * 2n < D: the factor F = (rows - mean) / sqrt(n - 1), shape (n, D) (or
-    (0, D) when n < 2), with C = F'F. It takes n*D floats instead of D*D,
-    and VPR's penalty costs 4*No*n*D flops per class instead of 2*No*D*D,
-    No being the number of old classes.
-  * 2n >= D: the dense (D, D) matrix, where the factor would cost more.
-`ClassStatistics.covariance` is the dense (D, D) view in both forms.
+A class's unbiased covariance C is held as an exact root F with C = F'F:
+the R factor of the QR decomposition of (rows - mean) / sqrt(n - 1), shape
+(min(n, D), D), or (0, D) when n < 2. It takes r*D floats, r = min(n, D),
+and VPR's penalty costs 4*No*r*D flops per class, No being the number of
+old classes. `ClassStatistics.covariance` is the dense (D, D) view.
 """
 
 from __future__ import annotations
@@ -21,31 +18,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError
-from .numerics import covariance, mean_rows
+from .numerics import mean_rows
 
 
+@dataclass(eq=False)
 class ClassStatistics:
-    """Prototype, covariance and sample count of one class.
+    """Prototype, covariance root and sample count of one class."""
 
-    The covariance is given either dense or, with `covariance=None`, as
-    `factor` (see the module docstring for which one fit_class_statistics
-    picks); the `covariance` property is the dense view of either.
-    """
-
-    def __init__(self, prototype: np.ndarray, covariance: np.ndarray | None,
-                 count: int, factor: np.ndarray | None = None):
-        if (covariance is None) == (factor is None):
-            raise InvalidArgumentError("give exactly one of covariance and factor")
-        self.prototype = prototype   # (D,) class mean
-        self.count = count
-        self.factor = factor         # (n, D), C = F'F; fitted when 2*count < D, else None
-        self._dense = covariance     # (D, D); fitted when 2*count >= D, else None
+    prototype: np.ndarray   # (D,) class mean
+    factor: np.ndarray      # (r, D) with C = F'F, r = min(count, D); (0, D) when count < 2
+    count: int
 
     @property
     def covariance(self) -> np.ndarray:
         """(D, D) unbiased sample covariance, zero when count < 2."""
-        if self.factor is None:
-            return self._dense
         c = self.factor.T @ self.factor
         return (c + c.T) / 2.0
 
@@ -73,8 +59,8 @@ class PrototypeStore:
 
 
 def fit_class_statistics(features, labels) -> dict[int, ClassStatistics]:
-    """Prototype, covariance (dense or factor, see the module docstring), and
-    count per distinct label."""
+    """Prototype, covariance root (see the module docstring) and count per
+    distinct label."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] == 0:
@@ -87,11 +73,9 @@ def fit_class_statistics(features, labels) -> dict[int, ClassStatistics]:
         rows = features[labels == cid]
         n = rows.shape[0]
         mu = mean_rows(rows)
-        if 2 * n >= dim:
-            out[int(cid)] = ClassStatistics(mu, covariance(rows), n)
-        else:
-            factor = (rows - mu) / math.sqrt(n - 1) if n >= 2 else np.zeros((0, dim))
-            out[int(cid)] = ClassStatistics(mu, None, n, factor=factor)
+        factor = (np.linalg.qr((rows - mu) / math.sqrt(n - 1), mode="r") if n >= 2
+                  else np.zeros((0, dim)))
+        out[int(cid)] = ClassStatistics(mu, factor, n)
     return out
 
 

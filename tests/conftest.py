@@ -106,13 +106,12 @@ def random_store(rng, n_old: int, dim: int, zero_cov: bool = False) -> Prototype
     stats = {}
     for k in range(n_old):
         if zero_cov:
-            cov = np.zeros((dim, dim))
+            factor = np.zeros((0, dim))
         else:
             a = rng.normal(size=(dim + 2, dim))
-            cov = np.cov(a, rowvar=False)
-            cov = (cov + cov.T) / 2
+            factor = np.linalg.qr((a - a.mean(axis=0)) / math.sqrt(dim + 1), mode="r")
         stats[k] = ClassStatistics(prototype=rng.normal(size=dim),
-                                   covariance=cov, count=dim + 2)
+                                   factor=factor, count=dim + 2)
     return PrototypeStore(stats)
 
 

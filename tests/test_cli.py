@@ -126,6 +126,30 @@ class TestRun:
         assert_one_line_error(proc, 1)
         assert "CSV line 3" in proc.stderr
 
+    @pytest.mark.parametrize("label", ["-1", "99999999999999999999"])
+    def test_csv_label_outside_u32_exits_1(self, tmp_path, label):
+        data = tmp_path / "d.csv"
+        data.write_text(f"label,split,f0\n0,train,1.0\n{label},test,1.0\n")
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        del raw["synth"]
+        raw["dataset"] = str(data)
+        cfg.write_text(json.dumps(raw))
+        proc = run_cli("run", cfg)
+        assert_one_line_error(proc, 1)
+        assert f"CSV line 3: label {label} outside [0, 2**32)" in proc.stderr
+
+    @pytest.mark.parametrize("key", ["classes", "dim"])
+    def test_synth_without_required_key_exits_2(self, tmp_path, key):
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        del raw["synth"][key]
+        cfg.write_text(json.dumps(raw))
+        proc = run_cli("run", cfg)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr == f"config error: missing key(s) ['{key}'] in synth\n"
+        assert not (tmp_path / "out").exists()
+
     def test_reruns_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg)]) == 0

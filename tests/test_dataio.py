@@ -105,6 +105,19 @@ class TestCsvImport:
             load_csv(p)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("label", ["-1", "4294967296", "99999999999999999999"])
+    def test_label_outside_u32_names_its_line(self, tmp_path, label):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"label,split,f0\n0,train,1.0\n{label},test,1.0\n")
+        with pytest.raises(DatasetValidationError) as info:
+            load_csv(p)
+        assert str(info.value) == f"CSV line 3: label {label} outside [0, 2**32)"
+
+    def test_largest_u32_label_loads(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("label,split,f0\n4294967295,train,1.0\n4294967295,test,2.0\n")
+        assert list(load_csv(p).labels) == [2 ** 32 - 1] * 2
+
 
 class TestSplitSchedule:
     def test_shrec_style(self):

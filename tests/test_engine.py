@@ -229,11 +229,11 @@ class TestEmbedOnce:
 
 
 class TestDegenerateSchedules:
-    @pytest.mark.parametrize("per_class_train, dim, factored", [
-        (1, 5, True),     # every covariance is the empty (0, D) factor
-        (2, 4, False)])   # 2n == D stays dense
+    @pytest.mark.parametrize("per_class_train, dim, empty_root", [
+        (1, 5, True),     # every covariance root is the empty (0, D) factor
+        (2, 4, False)])   # 2n == D: roots of n rows
     def test_few_samples_per_class_run_to_a_finite_head(self, per_class_train, dim,
-                                                         factored):
+                                                         empty_root):
         ds = synth_gaussian(8, dim, per_class_train, 3, 8.0, seed=2)
         sched = TaskSchedule(8, 4, 2, 3, list(range(8)))
         cfg = TrainConfig(epochs_task0=3, epochs_incremental=3, batch_size=4, seed=0)
@@ -244,10 +244,8 @@ class TestDegenerateSchedules:
         store, clf = states[-1].store, states[-1].clf
         assert len(store) == 8
         for cid in store.class_ids:
-            st = store.get(cid)
-            assert (st.factor is not None) == factored
-            if factored:
-                assert st.factor.shape == (0, dim)
+            rows = 0 if empty_root else per_class_train
+            assert store.get(cid).factor.shape == (rows, dim)
         assert clf.n_classes == 8
         assert np.isfinite(clf.W).all() and np.isfinite(clf.b).all()
 
@@ -260,7 +258,7 @@ class TestDegenerateSchedules:
     # one train sample per class, batch_size 1 < d, labels 3, 42, 500, 7, shuffled order
     @example(dim=5, classes=4, per_class_train=1, k=1, d=3, n_tasks=2, batch_size=1,
              epochs=2, batch_proto=True, dataset_ids=[3, 42, 500, 7], order_seed=5)
-    # 2n == D on the dense path, whole-task prototypes
+    # 2n == D, whole-task prototypes
     @example(dim=6, classes=3, per_class_train=3, k=1, d=2, n_tasks=2, batch_size=2,
              epochs=1, batch_proto=False, dataset_ids=[9, 1, 4, 0], order_seed=None)
     @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from pgpfr.classifier import adam_step, new_adam_state, new_classifier
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
 from pgpfr.losses import (LossConfig, LossValueGrad, proto_loss,
                           replay_ce_loss, tce_loss, total_loss, vpr_loss)
-from pgpfr.prototypes import ClassStatistics, PrototypeStore, fit_class_statistics
+from pgpfr.prototypes import PrototypeStore, fit_class_statistics
 from pgpfr.replay import MergedBatch
 from conftest import (fd_gradients, max_rel_error, random_store,
                       scalar_replay_ce, scalar_vpr)
@@ -182,25 +182,23 @@ def fitted_store(rng, counts, dim) -> PrototypeStore:
     return PrototypeStore(fit_class_statistics(feats, labels))
 
 
-def densified(store: PrototypeStore) -> PrototypeStore:
-    return PrototypeStore({cid: ClassStatistics(st.prototype, st.covariance, st.count)
-                           for cid, st in store.stats.items()})
-
-
 class TestVprFactorPath:
     @pytest.mark.parametrize("counts, dim", [
         ([2, 3, 2, 4], 12), ([20] * 6, 64), ([1, 2, 5], 11),
-        ([2, 9, 1, 4], 8)])   # the last mixes factor and dense classes
+        ([2, 9, 1, 4], 8), ([3, 11, 2], 5)])   # the last two hold classes with n > D
     def test_matches_densified_store(self, rng, counts, dim):
+        """The stacked roots against the scalar reference, which reads each
+        class's dense (D, D) covariance view."""
         store = fitted_store(rng, counts, dim)
-        assert any(st.factor is not None for st in store.stats.values())
+        assert [len(st.factor) for st in store.stats.values()] == [
+            min(n, dim) if n >= 2 else 0 for n in counts]
         clf = make_clf(rng, dim, len(counts) + 2)
         cfg = LossConfig(gamma=0.8)
         got = vpr_loss(store, clf, cfg)
-        want = vpr_loss(densified(store), clf, cfg)
-        assert abs(got.value - want.value) < 1e-12
-        assert np.abs(got.grad_W - want.grad_W).max() < 1e-12
-        assert np.abs(got.grad_b - want.grad_b).max() < 1e-12
+        assert got.value == pytest.approx(scalar_vpr(store, clf.W, clf.b, gamma=0.8),
+                                          rel=1e-12)
+        fw, fb = fd_gradients(lambda c: vpr_loss(store, c, cfg), clf)
+        assert max_rel_error(got, fw, fb) < 1e-4
 
     def test_gradient_fd(self, rng):
         cfg = LossConfig(gamma=1.0)

@@ -14,7 +14,7 @@ coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_subnormal
 
 def store_with_protos(protos):
     return PrototypeStore({
-        cid: ClassStatistics(np.asarray(p, dtype=float), np.zeros((len(p), len(p))), 2)
+        cid: ClassStatistics(np.asarray(p, dtype=float), np.zeros((0, len(p))), 2)
         for cid, p in protos.items()})
 
 
