@@ -6,8 +6,8 @@ Subcommands:
     synth    generate a synthetic Gaussian-mixture dataset file
     inspect  print header fields and class/split histograms of a dataset
 
-Exit codes: 0 success, 1 runtime/validation failure or divergence, 2 bad
-config (unknown key, wrong value type) or flags.
+Exit codes: 0 success, 1 runtime/validation failure, divergence or a size
+too large to allocate, 2 bad config (unknown key, wrong value type) or flags.
 All randomness comes from seeds in the config/flags, so identical inputs
 produce byte-identical outputs. The PGPFR_OUTPUT_DIR environment variable
 overrides the config's output directory (nothing else is overridable by
@@ -261,15 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.overrides)
-    if args.command == "synth":
-        try:
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, args.overrides)
+        if args.command == "synth":
             return cmd_synth(args)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    return cmd_inspect(args.path)
+        return cmd_inspect(args.path)
+    except (OSError, MemoryError) as exc:
+        # MemoryError: an array larger than the machine can hold, e.g.
+        # `synth --dim 10000000000000`
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

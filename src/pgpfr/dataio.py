@@ -105,7 +105,10 @@ def load_dataset(path) -> Dataset:
     version, n, dim = struct.unpack_from("<IQI", raw, 4)
     if version != VERSION:
         raise DatasetFormatError(f"unsupported version {version}", 4)
-    rec = _record_dtype(dim)
+    try:
+        rec = _record_dtype(dim)
+    except ValueError:  # the record's byte size must fit in a C int
+        raise DatasetFormatError(f"feature dim {dim} too large for a record", 16) from None
     expected = 20 + n * rec.itemsize
     if len(raw) != expected:
         raise DatasetFormatError(

@@ -26,7 +26,8 @@ from .errors import InvalidArgumentError, InvalidStateError
 from .losses import (LossConfig, replay_ce_loss, tce_loss, total_loss,
                      vpr_loss)
 from .metrics import MetricsRecord, accuracy, ifm
-from .prototypes import PrototypeStore, fit_class_statistics, register
+from .prototypes import (PrototypeStore, batch_class_prototypes,
+                         fit_class_statistics, register)
 from .replay import generate_pseudo_batch, merge
 
 
@@ -87,16 +88,18 @@ def _rows(state: ExperimentState, labels) -> np.ndarray:
 
 def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndarray,
                  train_rows: np.ndarray) -> None:
-    """Check the head, register the task's class statistics from its embedded
-    train set, add its embedded test set to the pool, and record G and L.
+    """Check the head, add the task's embedded test set to the pool, record G
+    and L, and register the task's class statistics from its embedded train
+    set.
 
     G, L and the old/new accuracies come from one prediction over the pool;
-    L reads the pool's last block, the current task's test set.
+    L reads the pool's last block, the current task's test set. The store is
+    built last, so its root block is allocated after the evaluation's
+    temporaries are freed rather than beside them.
     """
     if not (np.isfinite(state.clf.W).all() and np.isfinite(state.clf.b).all()):
         raise InvalidStateError(
             f"task {data.task_index} diverged: the head's W or b is non-finite")
-    state.store = register(state.store, fit_class_statistics(train_feats, train_rows))
     state.test_features.append(state.extractor.embed_batch(data.test_features))
     state.test_labels.append(_rows(state, data.test_labels))
 
@@ -109,13 +112,14 @@ def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndar
     old_acc = accuracy(preds[old_sel], y_all[old_sel])
     new_sel = ~old_sel
     new_acc = accuracy(preds[new_sel], y_all[new_sel]) if new_sel.any() else float("nan")
+    state.store = register(state.store, fit_class_statistics(train_feats, train_rows))
     state.metrics.append(MetricsRecord(
         task_index=len(state.metrics), global_acc=g, local_acc=local,
         ifm=ifm(local, g), old_acc=old_acc, new_acc=new_acc))
 
 
 def run_task0(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> ExperimentState:
-    """Joint backbone+head training, then freeze, fit statistics, evaluate."""
+    """Joint backbone+head training, then freeze, evaluate, fit statistics."""
     if state.extractor.frozen:
         raise InvalidStateError("task 0 already completed (extractor is frozen)")
     if state.clf.n_classes != len(data.class_ids):
@@ -160,8 +164,7 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
     group_protos = None
     if lc.enable_P and not lc.enable_batch_proto:
         # ablation: translate by whole-task class prototypes instead of batch means
-        group_protos = {cid: feats_all[y_all == cid].mean(axis=0)
-                        for cid in np.unique(y_all)}
+        group_protos = batch_class_prototypes(feats_all, y_all)
 
     for epoch in range(cfg.epochs_incremental):
         for step, idx in enumerate(batches(data, cfg.batch_size, cfg.seed, epoch)):

@@ -61,7 +61,9 @@ class Extractor:
             return x.copy(), None
         if self.spec.kind == "linear":
             return x @ self.params["W"].T + self.params["b"], None
-        h = np.maximum(x @ self.params["W1"].T + self.params["b1"], 0.0)
+        h = x @ self.params["W1"].T   # in place from here: no second (N, hidden) array
+        h += self.params["b1"]
+        np.maximum(h, 0.0, out=h)
         return h @ self.params["W2"].T + self.params["b2"], h
 
     def freeze(self) -> "Extractor":

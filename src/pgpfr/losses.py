@@ -116,8 +116,7 @@ def proto_loss(store: PrototypeStore, clf: IncrementalClassifier) -> LossValueGr
     """Each old prototype classified against the old-class rows only."""
     if len(store) == 0:
         raise InvalidStateError("prototype store is empty")
-    old_ids = np.asarray(store.class_ids)
-    mu = store.prototype_matrix()                       # (No, D)
+    old_ids, mu = store.ids, store.prototypes           # mu: (No, D)
     wo, bo = clf.W[old_ids], clf.b[old_ids]
     n_old = len(old_ids)
 
@@ -139,36 +138,30 @@ def vpr_loss(store: PrototypeStore, clf: IncrementalClassifier,
     gamma * (w_c - w_k)' C_k (w_c - w_k); the c = k term is exactly zero,
     so gamma = 0 (or all-zero covariances) reduces to proto_loss.
 
-    Each C_k is held as a root F_k (r_k, D) with C_k = F_k'F_k, r_k =
-    min(n_k, D), so the penalty is the squared norm of t = F_k (w_c - w_k)
-    and its gradient is F_k't: 4*No*r_k*D flops per old class k, with No old
-    classes and D features. The roots are stacked into two (No, N) x (N, D)
-    products per call, N = sum of r_k.
+    Each C_k is held as a root F_k (r_k, D) with C_k = F_k'F_k, so the
+    penalty is the squared norm of t = F_k (w_c - w_k) and its gradient is
+    F_k't. The store packs every root into one zero-padded (No * r_max, D)
+    block (see `prototypes`), so a call is two (No, No * r_max) x
+    (No * r_max, D) products: 4*No*r_max*D flops per old class, with No old
+    classes, D features and r_max the largest root's row count. Zero rows
+    add exactly 0, so a class with n_k < 2 keeps q = 0.
     """
     if len(store) == 0:
         raise InvalidStateError("prototype store is empty")
     gamma = cfg.gamma
-    old_ids = np.asarray(store.class_ids)
-    stats = list(store.stats.values())                 # in class_ids order
-    mu = store.prototype_matrix()
+    old_ids, mu, f = store.ids, store.prototypes, store.roots
     wo, bo = clf.W[old_ids], clf.b[old_ids]
     n_old = len(old_ids)
+    diag = np.arange(n_old)
 
-    sizes = np.array([len(st.factor) for st in stats])
-    f = np.concatenate([st.factor for st in stats])    # (N, D), grouped by class
-    owner = np.repeat(np.arange(n_old), sizes)          # row j of f belongs to class owner[j]
-    cols = np.arange(len(f))
-    t = wo @ f.T
-    t -= t[owner, cols]                                 # t[c, j] = f_j . (w_c - w_owner)
-    q = np.zeros((n_old, n_old))                        # classes with n_k < 2 keep q = 0
-    nonempty = sizes > 0
-    starts = np.cumsum(sizes)[nonempty] - sizes[nonempty]
-    q[nonempty] = np.add.reduceat(t * t, starts, axis=1).T
+    t = (wo @ f.T).reshape(n_old, n_old, store.r_max)  # t[c, k, j] = w_c . f_kj, f_kj row j of F_k
+    t -= t[diag, diag]                                  # t[c, k, j] = f_kj . (w_c - w_k)
+    q = np.einsum("ckj,ckj->kc", t, t)                  # q[k, c] = (w_c - w_k)' C_k (w_c - w_k)
     logp = _log_softmax(mu @ wo.T + bo + gamma * q)     # logp[k]: log-softmax row of class k
     probs = np.exp(logp)
-    t *= probs.T[:, owner]                              # p_owner[c] * t[c, j]
-    t[owner, cols] -= t.sum(axis=0)                     # w_owner is in every penalty term
-    pen = t @ f                                         # sum over k of p_k[c] C_k (w_c - w_k)
+    t *= probs.T[:, :, None]                            # p_k[c] * t[c, k, j]
+    t[diag, diag] -= t.sum(axis=0)                      # w_k is in every penalty term of class k
+    pen = t.reshape(n_old, f.shape[0]) @ f              # sum over k of p_k[c] C_k (w_c - w_k)
 
     value = -float(np.trace(logp))                      # logp[k, k]: class k at its own prototype
     # d s_c / d w_c = mu_k + 2 gamma C_k (w_c - w_k): the prototype part sums

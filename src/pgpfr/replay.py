@@ -71,12 +71,11 @@ def generate_pseudo_batch(features, labels, store: PrototypeStore,
             f"group prototypes have dim {protos.shape[1]}, features {features.shape[1]}")
     inverse = np.searchsorted(ids, labels)
 
-    # columns in ascending class id, so argmax's first maximum is the smallest id
-    old_ids = sorted(store.class_ids)
-    mu = np.stack([store.get(cid).prototype for cid in old_ids])
+    # the store packs its classes in ascending id, so argmax's first maximum
+    # is the smallest id
+    mu = store.prototypes
     best = cosine_sim(protos, mu).argmax(axis=1)
-    return PseudoBatch(features + (mu[best] - protos)[inverse],
-                       np.array(old_ids, dtype=np.int64)[best][inverse])
+    return PseudoBatch(features + (mu[best] - protos)[inverse], store.ids[best][inverse])
 
 
 def merge(pseudo: PseudoBatch | None, real_features, real_labels) -> MergedBatch:

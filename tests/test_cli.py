@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pgpfr import cli
 from pgpfr.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# over 2**47 bytes (the user address space), so numpy's allocation fails at
+# once and nothing is touched
+HUGE = 10 ** 13
 
 
 def run_cli(*args):
@@ -150,6 +155,16 @@ class TestRun:
         assert proc.stderr == f"config error: missing key(s) ['{key}'] in synth\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        [f"synth.dim={HUGE}"],
+        ["extractor.kind=mlp1", f"extractor.hidden_dim={HUGE}"]])
+    def test_size_too_large_to_allocate_exits_1(self, tmp_path, overrides):
+        proc = run_cli("run", write_config(tmp_path),
+                       *[a for o in overrides for a in ("--set", o)])
+        assert_one_line_error(proc, 1)
+        assert "Unable to allocate" in proc.stderr
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
     def test_reruns_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg)]) == 0
@@ -210,6 +225,13 @@ class TestSynth:
         assert proc.stderr == f"error: {message}\n"
         assert not out.exists()
 
+    def test_size_too_large_to_allocate_exits_1_without_a_file(self, tmp_path):
+        out = tmp_path / "d.pgfr"
+        proc = run_cli("synth", "--classes", "3", "--dim", HUGE, "--out", out)
+        assert_one_line_error(proc, 1)
+        assert "Unable to allocate" in proc.stderr
+        assert not out.exists()
+
 
 class TestInspect:
     def test_histogram(self, tmp_path, capsys):
@@ -233,3 +255,17 @@ class TestInspect:
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "absent.pgfr")]) == 1
+
+    def test_record_too_large_exits_1(self, tmp_path):
+        p = tmp_path / "huge.pgfr"
+        p.write_bytes(b"PGFR" + struct.pack("<IQI", 1, 0, 2 ** 31))
+        proc = run_cli("inspect", p)
+        assert_one_line_error(proc, 1)
+        assert "feature dim 2147483648 too large for a record" in proc.stderr
+
+    def test_memory_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        def refuse(path):
+            raise MemoryError("Unable to allocate 1.00 PiB")
+        monkeypatch.setattr(cli, "load_dataset", refuse)
+        assert main(["inspect", str(tmp_path / "d.pgfr")]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 1.00 PiB\n"

@@ -56,6 +56,15 @@ class TestSaveLoadRoundTrip:
         with pytest.raises(DatasetFormatError):
             load_dataset(p)
 
+    @pytest.mark.parametrize("dim", [2 ** 29, 2 ** 31, 2 ** 32 - 1])
+    def test_record_too_large_rejected(self, tmp_path, dim):
+        # a 20-byte header whose record size does not fit in a C int
+        p = tmp_path / "huge.pgfr"
+        p.write_bytes(b"PGFR" + struct.pack("<IQI", 1, 0, dim))
+        with pytest.raises(DatasetFormatError, match=f"feature dim {dim} too large") as exc:
+            load_dataset(p)
+        assert exc.value.offset == 16
+
     def test_nan_payload_rejected(self, tmp_path):
         ds = synth_gaussian(2, 3, 2, 1, 1.0, seed=0)
         feats = ds.features.copy()

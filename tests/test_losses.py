@@ -7,8 +7,8 @@ from pgpfr.classifier import adam_step, new_adam_state, new_classifier
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
 from pgpfr.losses import (LossConfig, LossValueGrad, proto_loss,
                           replay_ce_loss, tce_loss, total_loss, vpr_loss)
-from pgpfr.prototypes import PrototypeStore, fit_class_statistics
-from pgpfr.replay import MergedBatch
+from pgpfr.prototypes import PrototypeStore, fit_class_statistics, register
+from pgpfr.replay import MergedBatch, generate_pseudo_batch
 from conftest import (fd_gradients, max_rel_error, random_store,
                       scalar_replay_ce, scalar_vpr)
 
@@ -128,7 +128,7 @@ class TestProtoLoss:
                 break
             adam_step(clf, out, state)
         assert out.value < math.log(2)
-        mu = store.prototype_matrix()
+        mu = store.prototypes
         scores = mu @ clf.W.T + clf.b
         assert (np.argmax(scores, axis=1) == np.arange(3)).all()
 
@@ -220,12 +220,50 @@ class TestVprFactorPath:
     def test_single_sample_classes_add_no_penalty(self, rng):
         store = fitted_store(rng, [1, 1, 1], 5)
         assert all(st.factor.shape == (0, 5) for st in store.stats.values())
+        assert store.r_max == 0 and store.roots.shape == (0, 5)
         clf = make_clf(rng, 5, 4)
         v = vpr_loss(store, clf, LossConfig(gamma=3.0))
         p = proto_loss(store, clf)
         assert v.value == pytest.approx(p.value, abs=1e-15)
         assert np.abs(v.grad_W - p.grad_W).max() < 1e-15
         assert np.abs(v.grad_b - p.grad_b).max() < 1e-15
+
+
+class TestPackedRoots:
+    """VPR over the store's zero-padded (No * r_max, D) root block."""
+
+    def test_mixed_root_rows_match_scalar_reference(self, rng):
+        # r_k = 0 (n = 1), below r_max (n = 3, 5) and D (n = 12 > D = 8)
+        counts, dim = [1, 3, 12, 5], 8
+        store = fitted_store(rng, counts, dim)
+        assert store.r_max == dim and store.roots.shape == (len(counts) * dim, dim)
+        clf = make_clf(rng, dim, len(counts) + 2)
+        cfg = LossConfig(gamma=0.9)
+        got = vpr_loss(store, clf, cfg)
+        assert got.value == pytest.approx(scalar_vpr(store, clf.W, clf.b, gamma=0.9),
+                                          rel=1e-12)
+        fw, fb = fd_gradients(lambda c: vpr_loss(store, c, cfg), clf)
+        assert max_rel_error(got, fw, fb) < 1e-4
+
+    def test_registration_order_does_not_matter(self, rng):
+        dim = 6
+        feats = rng.normal(size=(26, dim)) * 2.0
+        labels = np.repeat([5, 2, 9, 0], [1, 4, 13, 8])
+        stats = fit_class_statistics(feats, labels)
+        ascending = PrototypeStore({cid: stats[cid] for cid in (0, 2, 5, 9)})
+        shuffled = register(PrototypeStore({cid: stats[cid] for cid in (9, 2)}),
+                            {cid: stats[cid] for cid in (5, 0)})
+        assert shuffled.class_ids == [0, 2, 5, 9]
+        clf = make_clf(rng, dim, 12)
+        a = vpr_loss(ascending, clf, LossConfig(gamma=1.3))
+        b = vpr_loss(shuffled, clf, LossConfig(gamma=1.3))
+        assert a.value == b.value
+        assert np.array_equal(a.grad_W, b.grad_W) and np.array_equal(a.grad_b, b.grad_b)
+        batch, batch_labels = rng.normal(size=(16, dim)), rng.integers(10, 14, size=16)
+        pa = generate_pseudo_batch(batch, batch_labels, ascending)
+        pb = generate_pseudo_batch(batch, batch_labels, shuffled)
+        assert np.array_equal(pa.features, pb.features)
+        assert np.array_equal(pa.labels, pb.labels)
 
 
 class TestTceLoss:

@@ -73,6 +73,15 @@ class TestBatchClassPrototypes:
         assert np.allclose(protos[0], [1, 1])
         assert np.allclose(protos[1], [4, 0])
 
+    @pytest.mark.parametrize("n, dim, n_labels", [(32, 64, 15), (7, 3, 7), (200, 5, 2)])
+    def test_matches_masked_means(self, rng, n, dim, n_labels):
+        feats = rng.normal(size=(n, dim))
+        labels = rng.integers(0, n_labels, size=n) * 3 + 1
+        protos = batch_class_prototypes(feats, labels)
+        assert list(protos) == sorted(set(labels.tolist()))
+        for cid, p in protos.items():
+            assert np.abs(p - feats[labels == cid].mean(axis=0)).max() < 1e-12
+
     def test_full_dataset_matches_fit(self, rng):
         feats = rng.normal(size=(40, 3))
         labels = rng.integers(0, 4, size=40)
@@ -105,3 +114,39 @@ class TestRegister:
         store = register(store, {8: _stats()})
         assert len(store) == 9
         assert store.class_ids == list(range(9))
+
+
+class TestPackedStore:
+    def _store(self, rng, counts=(1, 3, 12, 5), dim=8, ids=(7, 2, 11, 4)):
+        feats = rng.normal(size=(sum(counts), dim))
+        stats = fit_class_statistics(feats, np.repeat(ids, counts))
+        return stats, PrototypeStore(stats)
+
+    def test_ascending_ids_and_padded_slots(self, rng):
+        stats, store = self._store(rng)
+        assert store.class_ids == [2, 4, 7, 11] and store.ids.tolist() == [2, 4, 7, 11]
+        assert store.r_max == 8 and store.roots.shape == (4 * 8, 8)
+        slots = store.roots.reshape(4, 8, 8)
+        for k, cid in enumerate(store.class_ids):
+            r = len(stats[cid].factor)
+            assert np.array_equal(slots[k, :r], stats[cid].factor)
+            assert not slots[k, r:].any()
+            assert np.array_equal(store.prototypes[k], stats[cid].prototype)
+            assert store.get(cid).count == stats[cid].count
+
+    def test_each_root_held_once(self, rng):
+        _, store = self._store(rng)
+        for st in store.stats.values():
+            # an empty (0, D) root has no memory to share
+            assert np.shares_memory(st.factor, store.roots) or st.factor.shape == (0, 8)
+            assert np.shares_memory(st.prototype, store.prototypes)
+            with pytest.raises(ValueError):
+                st.prototype[0] = 1.0   # the packed arrays are read-only
+
+    def test_empty_store(self):
+        store = PrototypeStore()
+        assert len(store) == 0 and store.ids.shape == (0,) and store.r_max == 0
+
+    def test_dims_must_agree(self):
+        with pytest.raises(InvalidArgumentError, match="store's dim is 2"):
+            PrototypeStore({0: _stats(2), 1: _stats(3)})
