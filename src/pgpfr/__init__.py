@@ -10,10 +10,9 @@ from .extractor import Extractor, ExtractorSpec, init as init_extractor, train_t
 from .losses import (LossConfig, LossValueGrad, proto_loss, replay_ce_loss,
                      tce_loss, total_loss, vpr_loss)
 from .metrics import MetricsRecord, accuracy, ifm, summarize
-from .numerics import cosine_sim, covariance, mean_rows
-from .prototypes import (ClassStatistics, PrototypeStore,
-                         batch_class_prototypes, fit_class_statistics,
-                         register)
+from .numerics import cosine_sim, covariance
+from .prototypes import (PrototypeStore, batch_class_prototypes,
+                         fit_class_statistics, register)
 from .replay import MergedBatch, PseudoBatch, generate_pseudo_batch, merge
 
 __version__ = "0.1.0"

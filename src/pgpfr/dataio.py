@@ -225,8 +225,13 @@ def synth_gaussian(classes: int, dim: int, per_class_train: int, per_class_test:
             feats.append(means[cid] + rng.normal(size=(count, dim)))
             labels.append(np.full(count, cid, dtype=np.int64))
             split.append(np.full(count, split_tag, dtype=np.uint8))
-    return Dataset(np.vstack(feats).astype(np.float32),
-                   np.concatenate(labels), np.concatenate(split))
+    with np.errstate(over="ignore"):
+        ds = Dataset(np.vstack(feats).astype(np.float32),
+                     np.concatenate(labels), np.concatenate(split))
+    # min or max is infinite when any entry is, and neither needs an (N, D) mask
+    if not (np.isfinite(ds.features.min()) and np.isfinite(ds.features.max())):
+        raise InvalidArgumentError(f"separation {separation} overflows the float32 feature range")
+    return ds
 
 
 def class_order_for(ds: Dataset, seed: int | None) -> list[int]:

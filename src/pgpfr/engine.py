@@ -148,9 +148,9 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
     if not state.extractor.frozen:
         raise InvalidStateError("incremental task before task 0 (extractor not frozen)")
     new_rows = _rows(state, list(data.class_ids))
-    for r in new_rows:
-        if int(r) in state.store:
-            raise InvalidStateError(f"class row {r} already has registered statistics")
+    seen = np.intersect1d(new_rows, state.store.ids)
+    if seen.size:
+        raise InvalidStateError(f"class row {seen[0]} already has registered statistics")
 
     lc = cfg.loss_cfg
     state.clf = clf_mod.expand(state.clf, len(data.class_ids), cfg.seed)

@@ -9,6 +9,11 @@ Four losses:
   * truncated cross-entropy, a softmax restricted to the current task's
     slice of the shared head.
 
+The two prototype losses read the store's packed arrays only: `ids` picks
+the old classes' head rows, `prototypes` is their (No, D) mean matrix, and
+VPR's penalty reads the zero-padded (No * r_max, D) `roots` block. Neither
+loss looks at a class one at a time.
+
 All reductions are means, so loss magnitudes are batch-size invariant.
 Gradients are analytic and checked against finite differences in the tests.
 """

@@ -35,13 +35,6 @@ def cosine_sim(u, v) -> np.ndarray:
     return np.clip(s, -1.0, 1.0)
 
 
-def mean_rows(m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] == 0:
-        raise InvalidArgumentError("mean_rows requires a non-empty (N, D) matrix")
-    return m.mean(axis=0)
-
-
 def covariance(m) -> np.ndarray:
     """Unbiased sample covariance (divisor N-1); zero matrix when N < 2."""
     m = np.asarray(m, dtype=np.float64)

@@ -1,96 +1,62 @@
-"""Per-class feature statistics: prototypes (class means) and covariances.
+"""Per-class feature statistics: prototypes (class means) and covariance roots.
 
 Statistics are computed once per task over frozen-backbone features and
-accumulate in a PrototypeStore that only ever grows: `register` builds a new
+accumulate in a PrototypeStore that never changes: `register` builds a new
 store from the old one plus the task's classes.
 
-A class's unbiased covariance C is held as an exact root F with C = F'F:
-the R factor of the QR decomposition of (rows - mean) / sqrt(n - 1), shape
-(r, D) with r = min(n, D), or (0, D) when n < 2. `ClassStatistics.covariance`
-is the dense (D, D) view.
+A store is its packed arrays, No classes in ascending class id:
+  * `ids` (No,), the class ids, and `counts` (No,), their sample counts;
+  * `prototypes` (No, D), the class means;
+  * `roots` (No * r_max, D), one zero-padded block of covariance roots.
 
-A store packs its No classes once, when it is built, in ascending class id:
-the ids (No,), the prototype matrix (No, D), and one zero-padded root block
-of shape (No * r_max, D), r_max the largest r. Class k's slot is rows
-k * r_max to (k + 1) * r_max: its r_k root rows first, zero rows after.
-Every ClassStatistics in the store is a view into these arrays, so each root
-is held once. Zero rows add exactly 0 to VPR's penalty, so the padding
+A class's unbiased covariance C is held as an exact root F with C = F'F: the
+R factor of the QR decomposition of (rows - mean) / sqrt(n - 1), shape (r, D)
+with r = min(n, D), or no rows when n < 2. Class k's slot in `roots` is rows
+k * r_max to (k + 1) * r_max: its r_k root rows first, zero rows after, r_max
+the largest r_k. Zero rows add exactly 0 to VPR's penalty, so the padding
 changes no value; it costs flops only when the r_k differ.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError
 
 
-@dataclass(eq=False)
-class ClassStatistics:
-    """Prototype, covariance root and sample count of one class."""
-
-    prototype: np.ndarray   # (D,) class mean
-    factor: np.ndarray      # (r, D) with C = F'F, r = min(count, D); (0, D) when count < 2
-    count: int
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """(D, D) unbiased sample covariance, zero when count < 2."""
-        c = self.factor.T @ self.factor
-        return (c + c.T) / 2.0
-
-
-@dataclass(eq=False)
 class PrototypeStore:
-    """Class statistics by class id, packed for the per-step losses (see the
-    module docstring). The packed arrays are read-only; a store never
-    changes after it is built."""
+    """Class ids, counts, prototypes and covariance roots, packed as the
+    module docstring describes. The store takes its arrays over and makes
+    them read-only; it never changes after it is built."""
 
-    stats: dict[int, ClassStatistics] = field(default_factory=dict)
-    ids: np.ndarray = field(init=False, repr=False)         # (No,) ascending class ids
-    prototypes: np.ndarray = field(init=False, repr=False)  # (No, D)
-    roots: np.ndarray = field(init=False, repr=False)       # (No * r_max, D)
-    r_max: int = field(init=False)
-
-    def __post_init__(self):
-        ids = sorted(self.stats)
-        stats = [self.stats[cid] for cid in ids]
-        dim = len(stats[0].prototype) if stats else 0
-        for cid, st in zip(ids, stats):
-            if st.prototype.shape != (dim,) or st.factor.shape[1:] != (dim,):
-                raise InvalidArgumentError(
-                    f"class {cid} has prototype {st.prototype.shape} and root "
-                    f"{st.factor.shape}; the store's dim is {dim}")
-        self.r_max = max((len(st.factor) for st in stats), default=0)
-        protos = np.empty((len(ids), dim))
-        roots = np.zeros((len(ids), self.r_max, dim))
-        for k, st in enumerate(stats):
-            protos[k] = st.prototype
-            roots[k, :len(st.factor)] = st.factor
-        protos.flags.writeable = False   # before the views, so they are read-only too
-        roots.flags.writeable = False
-        self.stats = {int(cid): ClassStatistics(protos[k], roots[k, :len(st.factor)], st.count)
-                      for k, (cid, st) in enumerate(zip(ids, stats))}
-        self.ids = np.array(ids, dtype=np.int64)
-        self.prototypes = protos
-        self.roots = roots.reshape(len(ids) * self.r_max, dim)
+    def __init__(self, ids=(), counts=(), prototypes=None, roots=None):
+        """With no arguments, the empty store."""
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.prototypes = np.asarray(np.zeros((0, 0)) if prototypes is None else prototypes,
+                                     dtype=np.float64)
+        n, dim = len(self.ids), self.prototypes.shape[-1]
+        self.roots = np.asarray(np.zeros((0, dim)) if roots is None else roots, dtype=np.float64)
+        if (self.ids.ndim != 1 or self.counts.shape != (n,) or self.prototypes.shape != (n, dim)
+                or self.roots.ndim != 2 or self.roots.shape[1] != dim
+                or (len(self.roots) % n if n else len(self.roots))):
+            raise InvalidArgumentError(
+                f"store arrays disagree: ids {self.ids.shape}, counts {self.counts.shape}, "
+                f"prototypes {self.prototypes.shape}, roots {self.roots.shape}")
+        if (np.diff(self.ids) <= 0).any():
+            raise InvalidArgumentError(f"store ids must ascend, got {self.ids.tolist()}")
+        for a in (self.ids, self.counts, self.prototypes, self.roots):
+            a.flags.writeable = False
 
     @property
-    def class_ids(self) -> list[int]:
-        """Class ids in ascending order, the packed arrays' row order."""
-        return list(self.stats)
+    def r_max(self) -> int:
+        """Rows per class slot in `roots`."""
+        return len(self.roots) // len(self.ids) if len(self.ids) else 0
 
     def __len__(self) -> int:
-        return len(self.stats)
-
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self.stats
-
-    def get(self, class_id: int) -> ClassStatistics:
-        return self.stats[class_id]
+        return len(self.ids)
 
 
 def _group_means(features, labels, caller: str):
@@ -114,30 +80,51 @@ def _group_means(features, labels, caller: str):
     return ids, counts, starts, means, rows
 
 
-def fit_class_statistics(features, labels) -> dict[int, ClassStatistics]:
-    """Prototype, covariance root (see the module docstring) and count per
-    distinct label."""
+def fit_class_statistics(features, labels) -> PrototypeStore:
+    """A store of every distinct label's prototype, count and covariance root
+    (see the module docstring)."""
     ids, counts, starts, means, rows = _group_means(features, labels, "fit_class_statistics")
     dim = rows.shape[1]
-    out: dict[int, ClassStatistics] = {}
-    for cid, n, start, mu in zip(ids, counts, starts, means):
-        factor = (np.linalg.qr((rows[start:start + n] - mu) / math.sqrt(n - 1), mode="r")
-                  if n >= 2 else np.zeros((0, dim)))
-        out[int(cid)] = ClassStatistics(mu, factor, int(n))
-    return out
+    r = np.where(counts >= 2, np.minimum(counts, dim), 0)
+    roots = np.zeros((len(ids), r.max(), dim))
+    for k in np.flatnonzero(r):
+        n, start = counts[k], starts[k]
+        roots[k, :r[k]] = np.linalg.qr((rows[start:start + n] - means[k]) / math.sqrt(n - 1),
+                                       mode="r")
+    return PrototypeStore(ids, counts, means, roots.reshape(-1, dim))
 
 
-def batch_class_prototypes(features, labels) -> dict[int, np.ndarray]:
-    """Mean feature per distinct label, equal bit for bit to the prototype
-    `fit_class_statistics` gives for the same rows."""
+def batch_class_prototypes(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct labels (ascending) and each one's mean feature row, equal
+    bit for bit to the prototypes `fit_class_statistics` gives for the same
+    rows."""
     ids, _, _, means, _ = _group_means(features, labels, "batch_class_prototypes")
-    return dict(zip(ids.tolist(), means))
+    return ids, means
 
 
-def register(store: PrototypeStore, new_stats: dict[int, ClassStatistics]) -> PrototypeStore:
-    """A new store holding the old classes plus previously unseen ones.
-    Duplicates are an error."""
-    for cid in new_stats:
-        if cid in store.stats:
-            raise InvalidStateError(f"class {cid} already registered")
-    return PrototypeStore({**store.stats, **{int(cid): st for cid, st in new_stats.items()}})
+def register(store: PrototypeStore, new: PrototypeStore) -> PrototypeStore:
+    """One store holding the classes of both; a class in both is an error.
+
+    Each array of the result is allocated once and filled slot by slot, so
+    no padded or concatenated copy of a root block is made.
+    """
+    dup = np.intersect1d(store.ids, new.ids)
+    if dup.size:
+        raise InvalidStateError(f"class {dup[0]} already registered")
+    if not len(new):
+        return store
+    dim = new.prototypes.shape[1]
+    if len(store) and store.prototypes.shape[1] != dim:
+        raise InvalidArgumentError(
+            f"registering classes of dim {dim} into a store of dim {store.prototypes.shape[1]}")
+    ids = np.sort(np.concatenate([store.ids, new.ids]))
+    r_max = max(store.r_max, new.r_max)
+    counts = np.empty(len(ids), dtype=np.int64)
+    protos = np.empty((len(ids), dim))
+    roots = np.zeros((len(ids), r_max, dim))
+    for part in filter(len, (store, new)):
+        at = np.searchsorted(ids, part.ids)
+        counts[at] = part.counts
+        protos[at] = part.prototypes
+        roots[at, :part.r_max] = part.roots.reshape(len(part), part.r_max, dim)
+    return PrototypeStore(ids, counts, protos, roots.reshape(-1, dim))

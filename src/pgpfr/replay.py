@@ -2,9 +2,11 @@
 
 Old-class pseudo features are built per batch by translating each new-class
 group so that its (batch) prototype lands on the most similar old-class
-prototype. One cosine matrix of the batch's group prototypes against the
-store's prototypes assigns every group at once, and one gather translates
-every row. Pseudo batches live for one optimizer step only.
+prototype. The batch's groups come from `batch_class_prototypes` as
+ascending label ids and a (groups, D) prototype matrix; the old classes are
+the store's `ids` and `prototypes` matrix. One cosine matrix of the two
+assigns every group at once, and one gather translates every row. Pseudo
+batches live for one optimizer step only.
 """
 
 from __future__ import annotations
@@ -40,16 +42,19 @@ class MergedBatch:
 
 
 def generate_pseudo_batch(features, labels, store: PrototypeStore,
-                          group_prototypes: dict[int, np.ndarray] | None = None) -> PseudoBatch:
+                          group_prototypes: tuple[np.ndarray, np.ndarray] | None = None
+                          ) -> PseudoBatch:
     """Translate each label group onto its assigned old-class prototype.
 
     Every row f of group n becomes f + mu_p - mu_hat_n with pseudo label p,
     where mu_hat_n is the group's (batch) prototype and p the old class whose
     prototype is most cosine-similar to it. One (groups, old) `cosine_sim`
     matrix scores every pair; a zero-norm prototype scores 0 against every
-    class, and ties go to the smallest class id. `group_prototypes` overrides
-    the batch prototypes, which realizes the ablation that uses whole-task
-    class prototypes instead; it must hold every label in the batch.
+    class, and ties go to the smallest class id. `group_prototypes`, ascending
+    ids and their prototype rows as `batch_class_prototypes` returns them,
+    overrides the batch prototypes; it realizes the ablation that uses
+    whole-task class prototypes instead, and must hold every label in the
+    batch.
     """
     if len(store) == 0:
         raise InvalidStateError("prototype store is empty")
@@ -59,17 +64,16 @@ def generate_pseudo_batch(features, labels, store: PrototypeStore,
         raise InvalidArgumentError("generate_pseudo_batch requires a non-empty batch")
     if labels.shape != features.shape[:1]:
         raise InvalidArgumentError(f"{labels.size} labels for {features.shape[0]} feature rows")
-    if group_prototypes is None:
-        group_prototypes = batch_class_prototypes(features, labels)
-    ids = np.unique(labels)
-    missing = [int(cid) for cid in ids if int(cid) not in group_prototypes]
-    if missing:
-        raise InvalidArgumentError(f"group_prototypes lacks batch label(s) {missing}")
-    protos = np.stack([np.asarray(group_prototypes[int(cid)], dtype=np.float64) for cid in ids])
+    ids, protos = (batch_class_prototypes(features, labels) if group_prototypes is None
+                   else map(np.asarray, group_prototypes))
+    inverse = np.searchsorted(ids, labels)
+    missing = labels[ids[np.minimum(inverse, len(ids) - 1)] != labels]
+    if missing.size:
+        raise InvalidArgumentError(
+            f"group_prototypes lacks batch label(s) {np.unique(missing).tolist()}")
     if protos.shape[1] != features.shape[1]:
         raise InvalidArgumentError(
             f"group prototypes have dim {protos.shape[1]}, features {features.shape[1]}")
-    inverse = np.searchsorted(ids, labels)
 
     # the store packs its classes in ascending id, so argmax's first maximum
     # is the smallest id

@@ -9,7 +9,7 @@ import pytest
 
 from pgpfr.classifier import IncrementalClassifier
 from pgpfr.losses import LossValueGrad
-from pgpfr.prototypes import ClassStatistics, PrototypeStore
+from pgpfr.prototypes import PrototypeStore
 
 
 def fd_gradients(loss_fn, clf: IncrementalClassifier, h: float = 1e-5):
@@ -79,14 +79,23 @@ def scalar_replay_ce(batch, w, b, n_old, temp) -> float:
     return total / len(batch.labels)
 
 
+def dense_covariances(store: PrototypeStore) -> np.ndarray:
+    """(No, D, D): each class's covariance FᵀF, F its slot of the packed
+    root block, symmetrized exactly."""
+    slots = store.roots.reshape(len(store), store.r_max, store.prototypes.shape[1])
+    c = np.einsum("kji,kjl->kil", slots, slots)
+    return (c + c.transpose(0, 2, 1)) / 2.0
+
+
 def scalar_vpr(store: PrototypeStore, w, b, gamma) -> float:
     """Reference of the (variational) prototype replay loss; gamma=0 gives
     the plain prototype replay value."""
-    ids = store.class_ids
+    ids = store.ids.tolist()
+    covs = dense_covariances(store)
     total = 0.0
     for k_pos, k in enumerate(ids):
-        mu = store.get(k).prototype
-        cov = store.get(k).covariance
+        mu = store.prototypes[k_pos]
+        cov = covs[k_pos]
         terms = []
         for c_pos, c in enumerate(ids):
             lin = sum(w[c][j] * mu[j] for j in range(len(mu))) + b[c]
@@ -103,16 +112,17 @@ def scalar_vpr(store: PrototypeStore, w, b, gamma) -> float:
 
 
 def random_store(rng, n_old: int, dim: int, zero_cov: bool = False) -> PrototypeStore:
-    stats = {}
+    """Classes 0..n_old-1 with random prototypes; each root is the (D, D) QR
+    factor of D + 2 centred random rows, or has no rows when zero_cov."""
+    protos = np.empty((n_old, dim))
+    roots = np.zeros((n_old, 0 if zero_cov else dim, dim))
     for k in range(n_old):
-        if zero_cov:
-            factor = np.zeros((0, dim))
-        else:
+        if not zero_cov:
             a = rng.normal(size=(dim + 2, dim))
-            factor = np.linalg.qr((a - a.mean(axis=0)) / math.sqrt(dim + 1), mode="r")
-        stats[k] = ClassStatistics(prototype=rng.normal(size=dim),
-                                   factor=factor, count=dim + 2)
-    return PrototypeStore(stats)
+            roots[k] = np.linalg.qr((a - a.mean(axis=0)) / math.sqrt(dim + 1), mode="r")
+        protos[k] = rng.normal(size=dim)
+    return PrototypeStore(np.arange(n_old), np.full(n_old, dim + 2), protos,
+                          roots.reshape(-1, dim))
 
 
 @pytest.fixture

@@ -133,8 +133,8 @@ def test_criterion_3_replay_invariants():
         for g in np.unique(labels):
             sel = labels == g
             p = int(pb.labels[sel][0])
-            worst = max(worst, float(np.abs(
-                pb.features[sel].mean(axis=0) - store.get(p).prototype).max()))
+            worst = max(worst, float(np.abs(   # random_store's ids are its rows
+                pb.features[sel].mean(axis=0) - store.prototypes[p]).max()))
             if sel.sum() >= 2:
                 worst = max(worst, float(np.abs(
                     covariance(pb.features[sel]) - covariance(feats[sel])).max()))

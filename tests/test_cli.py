@@ -165,6 +165,12 @@ class TestRun:
         assert "Unable to allocate" in proc.stderr
         assert not (tmp_path / "out" / "summary.csv").exists()
 
+    def test_float32_overflow_separation_exits_1(self, tmp_path):
+        proc = run_cli("run", write_config(tmp_path), "--set", "synth.separation=1e39")
+        assert_one_line_error(proc, 1)
+        assert proc.stderr == "error: separation 1e+39 overflows the float32 feature range\n"
+        assert not (tmp_path / "out").exists()
+
     def test_reruns_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg)]) == 0
@@ -217,6 +223,7 @@ class TestSynth:
         ("--seed", "-1", "synth seed must be >= 0, got -1"),
         ("--separation", "nan", "separation must be finite and >= 0, got nan"),
         ("--separation", "inf", "separation must be finite and >= 0, got inf"),
+        ("--separation", "1e39", "separation 1e+39 overflows the float32 feature range"),
     ])
     def test_bad_value_exits_2_without_a_file(self, tmp_path, flag, value, message):
         out = tmp_path / "d.pgfr"

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,18 @@ class TestSynthGaussian:
     def test_validates(self):
         ds = synth_gaussian(3, 4, 5, 2, 1.0, seed=0)
         ds.validate()
+
+    @pytest.mark.parametrize("separation", [1e39, 1e300])
+    def test_float32_overflow_rejected_without_warnings(self, separation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="separation .* overflows"):
+                synth_gaussian(3, 2, 5, 2, separation, seed=0)
+
+    def test_largest_float32_separation_loads(self):
+        ds = synth_gaussian(3, 2, 5, 2, 1e38, seed=0)
+        ds.validate()
+        assert np.isfinite(ds.features).all()
 
 
 def _nearest_mean_accuracy(ds) -> float:

@@ -131,11 +131,15 @@ class TestRunIncrementalTask:
 
     def test_store_untouched_by_training(self):
         state, tasks, cfg = self._after_task0()
-        protos_before = {c: state.store.get(c).prototype.copy()
-                         for c in state.store.class_ids}
+        before = state.store
+        arrays = {name: getattr(before, name).copy()
+                  for name in ("ids", "counts", "prototypes", "roots")}
         run_incremental_task(state, tasks[1], cfg)
-        for c, p in protos_before.items():
-            assert np.array_equal(state.store.get(c).prototype, p)
+        for name, a in arrays.items():
+            assert np.array_equal(getattr(before, name), a)
+        n_old = len(before)
+        assert np.array_equal(state.store.ids[:n_old], before.ids)
+        assert np.array_equal(state.store.prototypes[:n_old], before.prototypes)
 
 
 class TestRunExperiment:
@@ -243,9 +247,8 @@ class TestDegenerateSchedules:
         assert len(records) == 3
         store, clf = states[-1].store, states[-1].clf
         assert len(store) == 8
-        for cid in store.class_ids:
-            rows = 0 if empty_root else per_class_train
-            assert store.get(cid).factor.shape == (rows, dim)
+        rows = 0 if empty_root else per_class_train
+        assert store.r_max == rows and store.roots.shape == (8 * rows, dim)
         assert clf.n_classes == 8
         assert np.isfinite(clf.W).all() and np.isfinite(clf.b).all()
 

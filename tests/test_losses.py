@@ -179,7 +179,7 @@ def fitted_store(rng, counts, dim) -> PrototypeStore:
     """Statistics fitted from random rows, counts[k] rows for class k."""
     feats = rng.normal(size=(sum(counts), dim)) * 2.0
     labels = np.repeat(np.arange(len(counts)), counts)
-    return PrototypeStore(fit_class_statistics(feats, labels))
+    return fit_class_statistics(feats, labels)
 
 
 class TestVprFactorPath:
@@ -188,9 +188,10 @@ class TestVprFactorPath:
         ([2, 9, 1, 4], 8), ([3, 11, 2], 5)])   # the last two hold classes with n > D
     def test_matches_densified_store(self, rng, counts, dim):
         """The stacked roots against the scalar reference, which reads each
-        class's dense (D, D) covariance view."""
+        class's dense (D, D) covariance FᵀF."""
         store = fitted_store(rng, counts, dim)
-        assert [len(st.factor) for st in store.stats.values()] == [
+        slots = store.roots.reshape(len(counts), store.r_max, dim)
+        assert slots.any(axis=2).sum(axis=1).tolist() == [
             min(n, dim) if n >= 2 else 0 for n in counts]
         clf = make_clf(rng, dim, len(counts) + 2)
         cfg = LossConfig(gamma=0.8)
@@ -211,7 +212,7 @@ class TestVprFactorPath:
 
     def test_matches_scalar_reference(self, rng):
         store = fitted_store(rng, [2, 2, 2], 6)
-        assert all(st.factor.shape == (2, 6) for st in store.stats.values())
+        assert store.roots.shape == (3 * 2, 6)
         clf = make_clf(rng, 6, 3)
         got = vpr_loss(store, clf, LossConfig(gamma=1.0)).value
         want = scalar_vpr(store, clf.W, clf.b, gamma=1.0)
@@ -219,7 +220,6 @@ class TestVprFactorPath:
 
     def test_single_sample_classes_add_no_penalty(self, rng):
         store = fitted_store(rng, [1, 1, 1], 5)
-        assert all(st.factor.shape == (0, 5) for st in store.stats.values())
         assert store.r_max == 0 and store.roots.shape == (0, 5)
         clf = make_clf(rng, 5, 4)
         v = vpr_loss(store, clf, LossConfig(gamma=3.0))
@@ -249,11 +249,11 @@ class TestPackedRoots:
         dim = 6
         feats = rng.normal(size=(26, dim)) * 2.0
         labels = np.repeat([5, 2, 9, 0], [1, 4, 13, 8])
-        stats = fit_class_statistics(feats, labels)
-        ascending = PrototypeStore({cid: stats[cid] for cid in (0, 2, 5, 9)})
-        shuffled = register(PrototypeStore({cid: stats[cid] for cid in (9, 2)}),
-                            {cid: stats[cid] for cid in (5, 0)})
-        assert shuffled.class_ids == [0, 2, 5, 9]
+        ascending = fit_class_statistics(feats, labels)
+        first = np.isin(labels, [9, 2])
+        shuffled = register(fit_class_statistics(feats[first], labels[first]),
+                            fit_class_statistics(feats[~first], labels[~first]))
+        assert shuffled.ids.tolist() == [0, 2, 5, 9]
         clf = make_clf(rng, dim, 12)
         a = vpr_loss(ascending, clf, LossConfig(gamma=1.3))
         b = vpr_loss(shuffled, clf, LossConfig(gamma=1.3))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError
-from pgpfr.numerics import cosine_sim, covariance, mean_rows
+from pgpfr.numerics import cosine_sim, covariance
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -53,17 +53,6 @@ class TestCosineSim:
         assert np.abs(cosine_sim(alpha * u, beta * w) - c).max() <= 1e-12
         assert np.abs(cosine_sim(w, u).T - c).max() <= 1e-12
         assert (np.abs(c) <= 1.0).all()
-
-
-class TestMeanRows:
-    def test_examples(self):
-        assert np.allclose(mean_rows([[1, 1]]), [1, 1])
-        assert np.allclose(mean_rows([[0, 0], [2, 0]]), [1, 0])
-        assert np.allclose(mean_rows([[3.5, 3.5]] * 7), [3.5, 3.5])
-
-    def test_empty(self):
-        with pytest.raises(InvalidArgumentError):
-            mean_rows(np.empty((0, 3)))
 
 
 class TestCovariance:

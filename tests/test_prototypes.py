@@ -1,29 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
 from pgpfr.numerics import covariance
-from pgpfr.prototypes import (ClassStatistics, PrototypeStore,
-                              batch_class_prototypes, fit_class_statistics,
-                              register)
+from pgpfr.prototypes import (PrototypeStore, batch_class_prototypes,
+                              fit_class_statistics, register)
+from conftest import dense_covariances
 
 
 class TestFitClassStatistics:
     def test_constant_rows(self):
-        stats = fit_class_statistics([[2.0, 5.0]] * 4, [1, 1, 1, 1])
-        assert np.allclose(stats[1].prototype, [2, 5])
-        assert np.allclose(stats[1].covariance, 0.0)
-        assert stats[1].count == 4
+        store = fit_class_statistics([[2.0, 5.0]] * 4, [1, 1, 1, 1])
+        assert store.ids.tolist() == [1]
+        assert np.allclose(store.prototypes[0], [2, 5])
+        assert np.allclose(dense_covariances(store)[0], 0.0)
+        assert store.counts.tolist() == [4]
 
     def test_single_row_zero_covariance(self):
-        stats = fit_class_statistics([[1.0, -1.0]], [3])
-        assert np.allclose(stats[3].prototype, [1, -1])
-        assert np.allclose(stats[3].covariance, 0.0)
+        store = fit_class_statistics([[1.0, -1.0]], [3])
+        assert np.allclose(store.prototypes[0], [1, -1])
+        assert store.r_max == 0 and store.roots.shape == (0, 2)
+        assert np.allclose(dense_covariances(store)[0], 0.0)
 
     def test_hand_computed(self):
-        stats = fit_class_statistics([[0, 0], [2, 0]], [0, 0])
-        assert np.allclose(stats[0].prototype, [1, 0])
-        assert np.allclose(stats[0].covariance, [[2, 0], [0, 0]])
+        store = fit_class_statistics([[0, 0], [2, 0]], [0, 0])
+        assert np.allclose(store.prototypes[0], [1, 0])
+        assert np.allclose(dense_covariances(store)[0], [[2, 0], [0, 0]])
 
     def test_empty(self):
         with pytest.raises(InvalidArgumentError):
@@ -35,9 +39,9 @@ class TestFitClassStatistics:
         perm = rng.permutation(30)
         a = fit_class_statistics(feats, labels)
         b = fit_class_statistics(feats[perm], labels[perm])
-        for cid in a:
-            assert np.abs(a[cid].prototype - b[cid].prototype).max() < 1e-12
-            assert np.abs(a[cid].covariance - b[cid].covariance).max() < 1e-12
+        assert np.array_equal(a.ids, b.ids) and np.array_equal(a.counts, b.counts)
+        assert np.abs(a.prototypes - b.prototypes).max() < 1e-12
+        assert np.abs(dense_covariances(a) - dense_covariances(b)).max() < 1e-12
 
 
 class TestCovarianceForms:
@@ -46,107 +50,167 @@ class TestCovarianceForms:
         (20, 512), (64, 64), (200, 64)])
     def test_dense_view_matches_covariance(self, rng, n, dim):
         rows = rng.normal(size=(n, dim)) * 3.0 + rng.normal(size=dim)
-        st = fit_class_statistics(rows, [7] * n)[7]
-        assert st.factor.shape == ((min(n, dim) if n >= 2 else 0), dim)
-        assert st.covariance.shape == (dim, dim)
-        assert np.abs(st.covariance - covariance(rows)).max() < 1e-12
-        assert np.array_equal(st.covariance, st.covariance.T)
+        store = fit_class_statistics(rows, [7] * n)
+        assert store.roots.shape == ((min(n, dim) if n >= 2 else 0), dim)
+        cov = dense_covariances(store)[0]
+        assert cov.shape == (dim, dim)
+        assert np.abs(cov - covariance(rows)).max() < 1e-12
+        assert np.array_equal(cov, cov.T)
 
     def test_factor_class_holds_no_dense_matrix(self, rng):
-        st = fit_class_statistics(rng.normal(size=(20, 512)), [0] * 20)[0]
-        held = sum(v.nbytes for v in vars(st).values() if isinstance(v, np.ndarray))
-        assert held == (20 + 1) * 512 * 8   # factor and prototype
+        store = fit_class_statistics(rng.normal(size=(20, 512)), [0] * 20)
+        held = sum(v.nbytes for v in vars(store).values() if isinstance(v, np.ndarray))
+        assert held == (20 + 1) * 512 * 8 + 2 * 8   # root, prototype, id and count
 
 
 class TestBatchClassPrototypes:
     def test_midpoint(self):
-        protos = batch_class_prototypes([[1, 0], [3, 0]], [5, 5])
-        assert np.allclose(protos[5], [2, 0])
+        ids, protos = batch_class_prototypes([[1, 0], [3, 0]], [5, 5])
+        assert ids.tolist() == [5] and np.allclose(protos, [[2, 0]])
 
     def test_singletons(self):
-        protos = batch_class_prototypes([[1, 2], [3, 4]], [0, 1])
-        assert np.allclose(protos[0], [1, 2])
-        assert np.allclose(protos[1], [3, 4])
+        ids, protos = batch_class_prototypes([[1, 2], [3, 4]], [0, 1])
+        assert ids.tolist() == [0, 1]
+        assert np.allclose(protos, [[1, 2], [3, 4]])
 
     def test_mixed_batch(self):
-        protos = batch_class_prototypes([[0, 0], [2, 2], [4, 0]], [0, 0, 1])
-        assert np.allclose(protos[0], [1, 1])
-        assert np.allclose(protos[1], [4, 0])
+        ids, protos = batch_class_prototypes([[0, 0], [2, 2], [4, 0]], [1, 1, 0])
+        assert ids.tolist() == [0, 1]
+        assert np.allclose(protos, [[4, 0], [1, 1]])
 
     @pytest.mark.parametrize("n, dim, n_labels", [(32, 64, 15), (7, 3, 7), (200, 5, 2)])
     def test_matches_masked_means(self, rng, n, dim, n_labels):
         feats = rng.normal(size=(n, dim))
         labels = rng.integers(0, n_labels, size=n) * 3 + 1
-        protos = batch_class_prototypes(feats, labels)
-        assert list(protos) == sorted(set(labels.tolist()))
-        for cid, p in protos.items():
+        ids, protos = batch_class_prototypes(feats, labels)
+        assert ids.tolist() == sorted(set(labels.tolist()))
+        for cid, p in zip(ids, protos):
             assert np.abs(p - feats[labels == cid].mean(axis=0)).max() < 1e-12
 
     def test_full_dataset_matches_fit(self, rng):
         feats = rng.normal(size=(40, 3))
         labels = rng.integers(0, 4, size=40)
-        protos = batch_class_prototypes(feats, labels)
-        stats = fit_class_statistics(feats, labels)
-        for cid in protos:
-            assert np.array_equal(protos[cid], stats[cid].prototype)
+        ids, protos = batch_class_prototypes(feats, labels)
+        store = fit_class_statistics(feats, labels)
+        assert np.array_equal(ids, store.ids)
+        assert np.array_equal(protos, store.prototypes)
 
     def test_empty(self):
         with pytest.raises(InvalidArgumentError):
             batch_class_prototypes(np.empty((0, 2)), [])
 
 
-def _stats(dim=2):
-    return ClassStatistics(np.zeros(dim), np.zeros((0, dim)), 1)
+def _store(ids, dim=2):
+    """Zero prototypes and empty roots for the given ascending ids."""
+    return PrototypeStore(ids, np.ones(len(ids)), np.zeros((len(ids), dim)))
 
 
 class TestRegister:
     def test_grow_from_empty(self):
-        store = register(PrototypeStore(), {0: _stats()})
-        assert len(store) == 1 and 0 in store
+        store = register(PrototypeStore(), _store([0]))
+        assert len(store) == 1 and store.ids.tolist() == [0]
 
     def test_duplicate_rejected(self):
-        store = register(PrototypeStore(), {0: _stats(), 1: _stats()})
-        with pytest.raises(InvalidStateError):
-            register(store, {1: _stats()})
+        store = register(PrototypeStore(), _store([0, 1]))
+        with pytest.raises(InvalidStateError, match="class 1 already registered"):
+            register(store, _store([1, 4]))
+
+    def test_dim_mismatch_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="dim 3 into a store of dim 2"):
+            register(_store([0]), _store([1], dim=3))
 
     def test_counting_and_order(self):
-        store = register(PrototypeStore(), {i: _stats() for i in range(8)})
-        store = register(store, {8: _stats()})
+        store = register(PrototypeStore(), _store(list(range(8))))
+        store = register(store, _store([8]))
         assert len(store) == 9
-        assert store.class_ids == list(range(9))
+        assert store.ids.tolist() == list(range(9))
+
+    @given(dim=st.integers(1, 5),
+           tasks=st.lists(st.lists(st.integers(1, 8), min_size=1, max_size=4),
+                          min_size=1, max_size=4),
+           seed=st.integers(0, 2**16))
+    # r_max 0, then 3 (grows), then a part of r_max 2 into a block of 3
+    @example(dim=3, tasks=[[1, 1], [5, 2], [2]], seed=0)
+    # r_max 2, then 3, then a part with no root rows at all
+    @example(dim=3, tasks=[[2], [5, 1], [1, 1]], seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_per_task_fits_equal_one_fit(self, dim, tasks, seed):
+        """Registering per-task stores, whose class ids interleave, gives the
+        arrays of one fit over all rows; a class may have n < 2 or n > D."""
+        rng = np.random.default_rng(seed)
+        counts = [n for task in tasks for n in task]
+        class_ids = rng.permutation(len(counts)) * 2 + 1     # tasks interleave in id
+        labels = rng.permutation(np.repeat(class_ids, counts))
+        feats = rng.normal(size=(len(labels), dim)) * 2.0
+        task_of = np.repeat(np.arange(len(tasks)), [len(t) for t in tasks])
+        store = PrototypeStore()
+        for t in range(len(tasks)):
+            sel = np.isin(labels, class_ids[task_of == t])
+            store = register(store, fit_class_statistics(feats[sel], labels[sel]))
+        whole = fit_class_statistics(feats, labels)
+        for name in ("ids", "counts", "prototypes", "roots"):
+            assert np.array_equal(getattr(store, name), getattr(whole, name)), name
+        assert store.r_max == whole.r_max
 
 
 class TestPackedStore:
-    def _store(self, rng, counts=(1, 3, 12, 5), dim=8, ids=(7, 2, 11, 4)):
+    def _fit(self, rng, counts=(1, 3, 12, 5), dim=8, ids=(7, 2, 11, 4)):
         feats = rng.normal(size=(sum(counts), dim))
-        stats = fit_class_statistics(feats, np.repeat(ids, counts))
-        return stats, PrototypeStore(stats)
+        labels = np.repeat(ids, counts)
+        return feats, labels, fit_class_statistics(feats, labels)
 
     def test_ascending_ids_and_padded_slots(self, rng):
-        stats, store = self._store(rng)
-        assert store.class_ids == [2, 4, 7, 11] and store.ids.tolist() == [2, 4, 7, 11]
+        feats, labels, store = self._fit(rng)
+        assert store.ids.tolist() == [2, 4, 7, 11] and store.counts.tolist() == [3, 5, 1, 12]
         assert store.r_max == 8 and store.roots.shape == (4 * 8, 8)
         slots = store.roots.reshape(4, 8, 8)
-        for k, cid in enumerate(store.class_ids):
-            r = len(stats[cid].factor)
-            assert np.array_equal(slots[k, :r], stats[cid].factor)
+        for k, cid in enumerate(store.ids):
+            rows = feats[labels == cid]
+            r = min(len(rows), 8) if len(rows) >= 2 else 0
+            root = np.linalg.qr((rows - rows.mean(axis=0)) / np.sqrt(max(len(rows) - 1, 1)),
+                                mode="r")
+            assert np.abs(slots[k, :r] - root[:r]).max(initial=0.0) < 1e-12
             assert not slots[k, r:].any()
-            assert np.array_equal(store.prototypes[k], stats[cid].prototype)
-            assert store.get(cid).count == stats[cid].count
+            assert np.abs(store.prototypes[k] - rows.mean(axis=0)).max() < 1e-12
 
     def test_each_root_held_once(self, rng):
-        _, store = self._store(rng)
-        for st in store.stats.values():
-            # an empty (0, D) root has no memory to share
-            assert np.shares_memory(st.factor, store.roots) or st.factor.shape == (0, 8)
-            assert np.shares_memory(st.prototype, store.prototypes)
+        _, _, store = self._fit(rng)
+        arrays = [v for v in vars(store).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 4
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+        assert sum(a.nbytes for a in arrays) == (4 + 4 + 4 * 8 + 4 * 8 * 8) * 8
+
+    def test_packed_arrays_are_read_only(self, rng):
+        _, _, store = self._fit(rng)
+        for name in ("ids", "counts", "prototypes", "roots"):
             with pytest.raises(ValueError):
-                st.prototype[0] = 1.0   # the packed arrays are read-only
+                getattr(store, name)[0] = 1
+        merged = register(store, _store([20], dim=8))
+        assert not any(a.flags.writeable for a in vars(merged).values())
 
     def test_empty_store(self):
         store = PrototypeStore()
         assert len(store) == 0 and store.ids.shape == (0,) and store.r_max == 0
 
     def test_dims_must_agree(self):
-        with pytest.raises(InvalidArgumentError, match="store's dim is 2"):
-            PrototypeStore({0: _stats(2), 1: _stats(3)})
+        with pytest.raises(InvalidArgumentError, match="store arrays disagree"):
+            PrototypeStore([0, 1], [1, 1], np.zeros((2, 2)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("ids, counts, protos, roots", [
+        ([0, 1], [1], (2, 2), (0, 2)),         # one count for two ids
+        ([0, 1], [1, 1], (3, 2), (0, 2)),      # three prototypes for two ids
+        ([0, 1], [1, 1], (2, 2), (3, 2)),      # root rows not a multiple of No
+        ([], [], (0, 2), (1, 2)),              # root rows without classes
+        ([[0, 1]], [1, 1], (2, 2), (0, 2)),    # ids not a vector
+        ([0, 1], [1, 1], (2, 2), (2,)),        # roots not a matrix
+    ])
+    def test_shapes_must_agree(self, ids, counts, protos, roots):
+        with pytest.raises(InvalidArgumentError, match="store arrays disagree"):
+            PrototypeStore(ids, counts, np.zeros(protos), np.zeros(roots))
+
+    @pytest.mark.parametrize("ids", [[1, 0], [3, 3], [0, 2, 1]])
+    def test_ids_must_ascend(self, ids):
+        n = len(ids)
+        with pytest.raises(InvalidArgumentError, match="ids must ascend"):
+            PrototypeStore(ids, np.ones(n), np.zeros((n, 2)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
 from pgpfr.numerics import ZERO_NORM_EPS, covariance
-from pgpfr.prototypes import ClassStatistics, PrototypeStore
+from pgpfr.prototypes import PrototypeStore
 from pgpfr.replay import generate_pseudo_batch, merge
 from conftest import random_store
 
@@ -13,9 +13,14 @@ coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_subnormal
 
 
 def store_with_protos(protos):
-    return PrototypeStore({
-        cid: ClassStatistics(np.asarray(p, dtype=float), np.zeros((0, len(p))), 2)
-        for cid, p in protos.items()})
+    """A store of the given {class id: prototype}, in any id order, with
+    empty roots."""
+    ids = sorted(protos)
+    return PrototypeStore(ids, [2] * len(ids), [protos[cid] for cid in ids])
+
+
+def proto_of(store, cid) -> np.ndarray:
+    return store.prototypes[np.searchsorted(store.ids, cid)]
 
 
 def assigned_label(batch_proto, store) -> int:
@@ -27,8 +32,7 @@ def reference_label(batch_proto, store) -> tuple[int, dict]:
     """Per-pair cosine argmax with plain np.dot; ties -> smallest id."""
     u = np.asarray(batch_proto, dtype=float)
     scores = {}
-    for cid in store.class_ids:
-        v = store.get(cid).prototype
+    for cid, v in zip(store.ids.tolist(), store.prototypes):
         nu, nv = np.linalg.norm(u), np.linalg.norm(v)
         scores[cid] = 0.0 if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS \
             else float(np.dot(u, v) / (nu * nv))
@@ -86,7 +90,7 @@ class TestAssignPseudoLabel:
             assume(all(np.array_equal(protos[c], protos[expected]) for c in top)
                    or np.linalg.norm(proto) < ZERO_NORM_EPS)
             assert (pb.labels[sel] == expected).all()
-            translated = rows[sel] + store.get(expected).prototype - proto
+            translated = rows[sel] + proto_of(store, expected) - proto
             assert np.abs(pb.features[sel] - translated).max() < 1e-12
 
 
@@ -108,8 +112,17 @@ class TestGeneratePseudoBatch:
         # f + mu_p - mu_hat = [1,1] + [3,0] - [1,0] = [3,1]
         store = store_with_protos({0: [3, 0]})
         pb = generate_pseudo_batch([[1.0, 1.0]], [4], store,
-                                   group_prototypes={4: np.array([1.0, 0.0])})
+                                   group_prototypes=([4], [[1.0, 0.0]]))
         assert np.allclose(pb.features, [[3, 1]])
+
+    def test_whole_task_prototypes_beyond_the_batch(self):
+        # groups 2 and 9 of a task's 2, 4, 9; group 4 is not in the batch
+        store = store_with_protos({0: [1, 0], 1: [0, 1]})
+        task_protos = ([2, 4, 9], [[2.0, 0.0], [0.0, 5.0], [0.0, 3.0]])
+        feats = np.array([[1.0, 4.0], [3.0, 1.0], [0.0, 2.0]])
+        pb = generate_pseudo_batch(feats, [9, 2, 9], store, group_prototypes=task_protos)
+        assert pb.labels.tolist() == [1, 0, 1]
+        assert np.allclose(pb.features, [[1, 2], [2, 1], [0, 0]])
 
     def test_group_mean_fidelity_and_dispersion(self, rng):
         store = random_store(rng, 4, 5)
@@ -120,14 +133,14 @@ class TestGeneratePseudoBatch:
             sel = labels == g
             p = int(pb.labels[sel][0])
             assert (pb.labels[sel] == p).all()
-            assert np.abs(pb.features[sel].mean(axis=0) - store.get(p).prototype).max() < 1e-9
+            assert np.abs(pb.features[sel].mean(axis=0) - proto_of(store, p)).max() < 1e-9
             assert np.abs(covariance(pb.features[sel]) - covariance(feats[sel])).max() < 1e-9
 
     def test_labels_always_old_classes(self, rng):
         store = random_store(rng, 3, 4)
         pb = generate_pseudo_batch(rng.normal(size=(10, 4)),
                                    rng.integers(50, 53, size=10), store)
-        assert set(int(l) for l in pb.labels) <= set(store.class_ids)
+        assert set(int(l) for l in pb.labels) <= set(store.ids.tolist())
 
     def test_row_order_matches_input(self, rng):
         store = random_store(rng, 2, 3)
@@ -150,15 +163,15 @@ class TestGeneratePseudoBatch:
         store = store_with_protos({0: [1, 0]})
         with pytest.raises(InvalidArgumentError, match=r"\[5\]"):
             generate_pseudo_batch([[1.0, 1.0], [2.0, 2.0]], [4, 5], store,
-                                  group_prototypes={4: np.array([1.0, 0.0])})
+                                  group_prototypes=([4], [[1.0, 0.0]]))
 
     def test_group_prototype_dim_must_match_features(self):
         store = store_with_protos({0: [1, 0]})
         with pytest.raises(InvalidArgumentError, match="dim 2, features 3"):
             generate_pseudo_batch([[1.0, 1.0, 1.0]], [4], store,
-                                  group_prototypes={4: np.array([1.0, 0.0])})
+                                  group_prototypes=([4], [[1.0, 0.0]]))
 
-    @pytest.mark.parametrize("group_prototypes", [None, {4: np.array([1.0, 0.0])}])
+    @pytest.mark.parametrize("group_prototypes", [None, ([4], [[1.0, 0.0]])])
     def test_label_count_must_match_rows(self, group_prototypes):
         store = store_with_protos({0: [1, 0]})
         with pytest.raises(InvalidArgumentError, match="3 labels for 2 feature rows"):
