@@ -11,8 +11,7 @@ from .losses import (LossConfig, LossValueGrad, proto_loss, replay_ce_loss,
                      tce_loss, total_loss, vpr_loss)
 from .metrics import MetricsRecord, accuracy, ifm, summarize
 from .numerics import cosine_sim, covariance
-from .prototypes import (PrototypeStore, batch_class_prototypes,
-                         fit_class_statistics, register)
+from .prototypes import PrototypeStore, fit_class_statistics, register
 from .replay import MergedBatch, PseudoBatch, generate_pseudo_batch, merge
 
 __version__ = "0.1.0"

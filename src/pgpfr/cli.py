@@ -86,8 +86,8 @@ def _require(section: dict, keys: tuple, where: str) -> None:
 
 def load_config(path: str, overrides: list[str] | None = None) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc

@@ -124,13 +124,16 @@ def load_dataset(path) -> Dataset:
 
 
 def load_csv(path) -> Dataset:
-    """Convenience import: header `label,split,f0..f{D-1}`; labels must lie
-    in [0, 2**32), as in the binary format; split may be a 0/1 integer or
-    the strings train/test."""
+    """Convenience import: UTF-8 text with header `label,split,f0..f{D-1}`;
+    labels must lie in [0, 2**32), as in the binary format, and features be
+    finite in float32; split may be a 0/1 integer or the strings train/test.
+    A rejected row is named by its CSV line."""
     split_map = {"train": TRAIN, "test": TEST, "0": TRAIN, "1": TEST}
     labels, split, feats = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    reader = csv.reader(line.decode("utf-8") for line in lines)
+    try:
         header = next(reader, None)
         if header is None or len(header) < 3 or header[0] != "label" or header[1] != "split":
             raise DatasetValidationError("CSV header must be label,split,f0..")
@@ -148,7 +151,14 @@ def load_csv(path) -> Dataset:
                 raise DatasetValidationError(f"{where}: {exc}") from None
             if not 0 <= labels[-1] < 2 ** 32:
                 raise DatasetValidationError(f"{where}: label {labels[-1]} outside [0, 2**32)")
+            # float32 rounds every magnitude from 2**128 - 2**103 up to inf
+            bad = [v for v in feats[-1] if not abs(v) < 2.0 ** 128 - 2.0 ** 103]
+            if bad:
+                raise DatasetValidationError(f"{where}: feature {bad[0]!r} is not a finite float32")
             split.append(split_map[line[1].strip()])
+    except UnicodeDecodeError:
+        # the reader counts a line once it is decoded
+        raise DatasetValidationError(f"CSV line {reader.line_num + 1} is not UTF-8") from None
     if not labels:
         raise DatasetValidationError("CSV has no data rows")
     ds = Dataset(np.array(feats, dtype=np.float32), np.array(labels, dtype=np.int64),

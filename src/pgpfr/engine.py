@@ -26,9 +26,8 @@ from .errors import InvalidArgumentError, InvalidStateError
 from .losses import (LossConfig, replay_ce_loss, tce_loss, total_loss,
                      vpr_loss)
 from .metrics import MetricsRecord, accuracy, ifm
-from .prototypes import (PrototypeStore, batch_class_prototypes,
-                         fit_class_statistics, register)
-from .replay import generate_pseudo_batch, merge
+from .prototypes import PrototypeStore, fit_class_statistics, register
+from .replay import PseudoBatch, generate_pseudo_batch, merge
 
 
 @dataclass
@@ -139,11 +138,12 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
                          cfg: TrainConfig) -> ExperimentState:
     """Expand the head and retrain it on one incremental task.
 
-    The train set is embedded once up front. Per batch: gather its rows'
-    features, optionally generate and merge a pseudo batch, then take one
-    Adam step on the sum of the enabled losses. The backbone and the
-    prototype store are read-only throughout. A non-finite step loss or
-    head raises InvalidStateError.
+    The train set is embedded once up front. Each epoch gathers its rows in
+    batch order and makes all their pseudo rows in one call: per batch, or
+    over the whole epoch under the whole-task ablation. Each step slices its
+    rows, merges them and takes one Adam step on the sum of the enabled
+    losses. The backbone and the prototype store are read-only throughout. A
+    non-finite step loss or head raises InvalidStateError.
     """
     if not state.extractor.frozen:
         raise InvalidStateError("incremental task before task 0 (extractor not frozen)")
@@ -161,23 +161,21 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
     feats_all = state.extractor.embed_batch(data.train_features)
     y_all = _rows(state, data.train_labels)
 
-    group_protos = None
-    if lc.enable_P and not lc.enable_batch_proto:
-        # ablation: translate by whole-task class prototypes instead of batch means
-        group_protos = batch_class_prototypes(feats_all, y_all)
-
     for epoch in range(cfg.epochs_incremental):
-        for step, idx in enumerate(batches(data, cfg.batch_size, cfg.seed, epoch)):
-            feats, y = feats_all[idx], y_all[idx]
-            pseudo = None
-            if lc.enable_P:
-                pseudo = generate_pseudo_batch(feats, y, state.store,
-                                               group_prototypes=group_protos)
-            components = [replay_ce_loss(merge(pseudo, feats, y), state.clf, n_old, lc)]
+        idx = batches(data, cfg.batch_size, cfg.seed, epoch)
+        order, sizes = np.concatenate(idx), [len(i) for i in idx]
+        feats, y = feats_all[order], y_all[order]
+        if lc.enable_P:
+            pseudo = generate_pseudo_batch(feats, y, state.store,
+                                           sizes if lc.enable_batch_proto else None)
+        bounds = np.cumsum([0] + sizes)
+        for step, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            pb = PseudoBatch(pseudo.features[lo:hi], pseudo.labels[lo:hi]) if lc.enable_P else None
+            components = [replay_ce_loss(merge(pb, feats[lo:hi], y[lo:hi]), state.clf, n_old, lc)]
             if lc.enable_V:
                 components.append(vpr_loss(state.store, state.clf, lc))
             if lc.enable_T:
-                components.append(tce_loss(feats, y, state.clf, task_range))
+                components.append(tce_loss(feats[lo:hi], y[lo:hi], state.clf, task_range))
             total = total_loss(components)
             if not math.isfinite(total.value):
                 raise InvalidStateError(

@@ -60,7 +60,7 @@ class PrototypeStore:
 
 
 def _group_means(features, labels, caller: str):
-    """Rows grouped by label in one sort and one `np.add.reduceat`.
+    """Rows grouped by integer label in one sort and one `np.add.reduceat`.
 
     Returns the distinct labels (ascending), each group's row count, start
     and mean, and the rows sorted by label. The sort is stable, so every
@@ -92,14 +92,6 @@ def fit_class_statistics(features, labels) -> PrototypeStore:
         roots[k, :r[k]] = np.linalg.qr((rows[start:start + n] - means[k]) / math.sqrt(n - 1),
                                        mode="r")
     return PrototypeStore(ids, counts, means, roots.reshape(-1, dim))
-
-
-def batch_class_prototypes(features, labels) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct labels (ascending) and each one's mean feature row, equal
-    bit for bit to the prototypes `fit_class_statistics` gives for the same
-    rows."""
-    ids, _, _, means, _ = _group_means(features, labels, "batch_class_prototypes")
-    return ids, means
 
 
 def register(store: PrototypeStore, new: PrototypeStore) -> PrototypeStore:

@@ -1,12 +1,11 @@
 """Pseudo-feature generation with batch prototypes.
 
 Old-class pseudo features are built per batch by translating each new-class
-group so that its (batch) prototype lands on the most similar old-class
-prototype. The batch's groups come from `batch_class_prototypes` as
-ascending label ids and a (groups, D) prototype matrix; the old classes are
-the store's `ids` and `prototypes` matrix. One cosine matrix of the two
-assigns every group at once, and one gather translates every row. Pseudo
-batches live for one optimizer step only.
+group, one label's rows within one batch, so that its batch prototype lands
+on the most similar old-class prototype; the old classes are the store's
+`ids` and `prototypes` matrix. One cosine matrix of the two assigns every
+group at once, and one gather translates every row. The head plays no part,
+so one call makes the pseudo rows of every batch of an epoch.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError
 from .numerics import cosine_sim
-from .prototypes import PrototypeStore, batch_class_prototypes
+from .prototypes import PrototypeStore, _group_means
 
 
 @dataclass
@@ -42,19 +41,16 @@ class MergedBatch:
 
 
 def generate_pseudo_batch(features, labels, store: PrototypeStore,
-                          group_prototypes: tuple[np.ndarray, np.ndarray] | None = None
-                          ) -> PseudoBatch:
-    """Translate each label group onto its assigned old-class prototype.
+                          batch_sizes=None) -> PseudoBatch:
+    """Translate each (batch, label) group onto its assigned old-class prototype.
 
-    Every row f of group n becomes f + mu_p - mu_hat_n with pseudo label p,
-    where mu_hat_n is the group's (batch) prototype and p the old class whose
+    The rows are consecutive batches of `batch_sizes` rows each, by default
+    one batch. Every row f of group n becomes f + mu_p - mu_hat_n with pseudo
+    label p, where mu_hat_n is the group's mean and p the old class whose
     prototype is most cosine-similar to it. One (groups, old) `cosine_sim`
     matrix scores every pair; a zero-norm prototype scores 0 against every
-    class, and ties go to the smallest class id. `group_prototypes`, ascending
-    ids and their prototype rows as `batch_class_prototypes` returns them,
-    overrides the batch prototypes; it realizes the ablation that uses
-    whole-task class prototypes instead, and must hold every label in the
-    batch.
+    class, and ties go to the smallest class id. A group's mean sums its rows
+    in input order, so the result equals, bit for bit, one call per batch.
     """
     if len(store) == 0:
         raise InvalidStateError("prototype store is empty")
@@ -62,18 +58,17 @@ def generate_pseudo_batch(features, labels, store: PrototypeStore,
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] == 0:
         raise InvalidArgumentError("generate_pseudo_batch requires a non-empty batch")
-    if labels.shape != features.shape[:1]:
-        raise InvalidArgumentError(f"{labels.size} labels for {features.shape[0]} feature rows")
-    ids, protos = (batch_class_prototypes(features, labels) if group_prototypes is None
-                   else map(np.asarray, group_prototypes))
-    inverse = np.searchsorted(ids, labels)
-    missing = labels[ids[np.minimum(inverse, len(ids) - 1)] != labels]
-    if missing.size:
-        raise InvalidArgumentError(
-            f"group_prototypes lacks batch label(s) {np.unique(missing).tolist()}")
-    if protos.shape[1] != features.shape[1]:
-        raise InvalidArgumentError(
-            f"group prototypes have dim {protos.shape[1]}, features {features.shape[1]}")
+    n = len(features)
+    if labels.shape != (n,):
+        raise InvalidArgumentError(f"{labels.size} labels for {n} feature rows")
+    sizes = np.asarray([n] if batch_sizes is None else batch_sizes, dtype=np.int64)
+    if sizes.ndim != 1 or (sizes < 0).any() or sizes.sum() != n:
+        raise InvalidArgumentError(f"batch sizes {sizes.tolist()} do not split {n} rows")
+    # the (batch, label) key takes each label's rank below n, not its id, so
+    # it is exact for any int64 labels
+    key = np.repeat(np.arange(len(sizes)), sizes) * n + np.unique(labels, return_inverse=True)[1]
+    keys, _, _, protos, _ = _group_means(features, key, "generate_pseudo_batch")
+    inverse = np.searchsorted(keys, key)
 
     # the store packs its classes in ascending id, so argmax's first maximum
     # is the smallest id

@@ -48,6 +48,17 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def csv_config(tmp_path, data: bytes):
+    """A config that reads `data` as its dataset CSV."""
+    (tmp_path / "d.csv").write_bytes(data)
+    cfg = write_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    del raw["synth"]
+    raw["dataset"] = str(tmp_path / "d.csv")
+    cfg.write_text(json.dumps(raw))
+    return cfg
+
+
 class TestRun:
     def test_success_writes_outputs(self, tmp_path, capsys):
         code = main(["run", str(write_config(tmp_path))])
@@ -120,29 +131,39 @@ class TestRun:
 
     @pytest.mark.parametrize("row", ["0,test,abc", "abc,test,1.0"])
     def test_non_numeric_csv_value_exits_1(self, tmp_path, row):
-        data = tmp_path / "d.csv"
-        data.write_text(f"label,split,f0\n0,train,1.0\n{row}\n")
-        cfg = write_config(tmp_path)
-        raw = json.loads(cfg.read_text())
-        del raw["synth"]
-        raw["dataset"] = str(data)
-        cfg.write_text(json.dumps(raw))
-        proc = run_cli("run", cfg)
+        data = f"label,split,f0\n0,train,1.0\n{row}\n".encode()
+        proc = run_cli("run", csv_config(tmp_path, data))
         assert_one_line_error(proc, 1)
         assert "CSV line 3" in proc.stderr
 
     @pytest.mark.parametrize("label", ["-1", "99999999999999999999"])
     def test_csv_label_outside_u32_exits_1(self, tmp_path, label):
-        data = tmp_path / "d.csv"
-        data.write_text(f"label,split,f0\n0,train,1.0\n{label},test,1.0\n")
-        cfg = write_config(tmp_path)
-        raw = json.loads(cfg.read_text())
-        del raw["synth"]
-        raw["dataset"] = str(data)
-        cfg.write_text(json.dumps(raw))
-        proc = run_cli("run", cfg)
+        data = f"label,split,f0\n0,train,1.0\n{label},test,1.0\n".encode()
+        proc = run_cli("run", csv_config(tmp_path, data))
         assert_one_line_error(proc, 1)
         assert f"CSV line 3: label {label} outside [0, 2**32)" in proc.stderr
+
+    def test_non_utf8_csv_exits_1(self, tmp_path):
+        data = b"label,split,f0\n0,train,1.0\n0,te\xffst,1.0\n"
+        proc = run_cli("run", csv_config(tmp_path, data))
+        assert_one_line_error(proc, 1)
+        assert proc.stderr == "error: CSV line 3 is not UTF-8\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_value_outside_float32_exits_1(self, tmp_path):
+        data = b"label,split,f0\n0,train,1.0\n0,test,1e39\n"
+        proc = run_cli("run", csv_config(tmp_path, data))
+        assert_one_line_error(proc, 1)
+        assert proc.stderr == "error: CSV line 3: feature 1e+39 is not a finite float32\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        proc = run_cli("run", cfg)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: cannot read config: 'utf-8' codec")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("key", ["classes", "dim"])
     def test_synth_without_required_key_exits_2(self, tmp_path, key):

@@ -123,6 +123,29 @@ class TestCsvImport:
             load_csv(p)
         assert str(info.value) == f"CSV line 3: label {label} outside [0, 2**32)"
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"label,split,f0\n0,train,1.0\n0,train,2.0\n0,te\xffst,1.0\n")
+        with pytest.raises(DatasetValidationError) as info:
+            load_csv(p)
+        assert str(info.value) == "CSV line 4 is not UTF-8"
+
+    @pytest.mark.parametrize("value", ["1e39", "-3.5e38", "1e400", "nan", "-inf"])
+    def test_value_not_finite_in_float32_names_its_line(self, tmp_path, value):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"label,split,f0,f1\n0,train,1.0,2.0\n0,test,0.5,{value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetValidationError) as info:
+                load_csv(p)
+        assert str(info.value) == \
+            f"CSV line 3: feature {float(value)!r} is not a finite float32"
+
+    def test_largest_float32_value_loads(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("label,split,f0\n0,train,3.4028234e38\n0,test,-3.4028234e38\n")
+        assert np.isfinite(load_csv(p).features).all()
+
     def test_largest_u32_label_loads(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("label,split,f0\n4294967295,train,1.0\n4294967295,test,2.0\n")

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -5,15 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pgpfr import classifier as clf_mod
 from pgpfr.classifier import new_classifier, predict
-from pgpfr.dataio import Dataset, class_order_for, split_schedule, synth_gaussian
+from pgpfr.dataio import Dataset, batches, class_order_for, split_schedule, synth_gaussian
 from pgpfr.engine import (ExperimentState, TaskSchedule, TrainConfig,
                           run_experiment, run_incremental_task, run_task0)
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
 from pgpfr.extractor import Extractor, ExtractorSpec, init
-from pgpfr.losses import LossConfig
+from pgpfr.losses import LossConfig, replay_ce_loss, tce_loss, total_loss, vpr_loss
 from pgpfr.metrics import accuracy
-from pgpfr.prototypes import PrototypeStore
+from pgpfr.numerics import cosine_sim
+from pgpfr.prototypes import PrototypeStore, fit_class_statistics
+from pgpfr.replay import PseudoBatch, generate_pseudo_batch, merge
 
 
 def small_setup(classes=6, k=3, d=1, n_tasks=4, dim=6, seed=0, **loss_kw):
@@ -230,6 +234,62 @@ class TestEmbedOnce:
 
         run_experiment(cfg, sched, ds, spec, task_callback=check)
         assert checked == list(range(sched.n_tasks))
+
+
+def reference_incremental_head(state, data, cfg, task_order_means=False):
+    """The head one incremental task trains when every step makes its own
+    pseudo rows: one `generate_pseudo_batch` call per batch, or under the
+    whole-task ablation a translation by the task's class means, summed in
+    epoch order or, with `task_order_means`, in the train set's order."""
+    lc = cfg.loss_cfg
+    clf = clf_mod.expand(state.clf.copy(), len(data.class_ids), cfg.seed)
+    adam = clf_mod.new_adam_state(clf.params, lr=cfg.lr)
+    store, n_old = state.store, len(state.store)
+    feats_all = state.extractor.embed_batch(data.train_features)
+    y_all = np.array([state.label_map[int(c)] for c in data.train_labels])
+    for epoch in range(cfg.epochs_incremental):
+        idx = batches(data, cfg.batch_size, cfg.seed, epoch)
+        order = np.arange(len(y_all)) if task_order_means else np.concatenate(idx)
+        task = fit_class_statistics(feats_all[order], y_all[order])
+        best = cosine_sim(task.prototypes, store.prototypes).argmax(axis=1)
+        for b in idx:
+            feats, y = feats_all[b], y_all[b]
+            if lc.enable_batch_proto:
+                pseudo = generate_pseudo_batch(feats, y, store)
+            else:
+                at = np.searchsorted(task.ids, y)
+                pseudo = PseudoBatch(feats + (store.prototypes[best] - task.prototypes)[at],
+                                     store.ids[best][at])
+            total = total_loss([replay_ce_loss(merge(pseudo, feats, y), clf, n_old, lc),
+                                vpr_loss(store, clf, lc),
+                                tce_loss(feats, y, clf, clf.task_ranges[-1])])
+            clf_mod.adam_step(clf, total, adam)
+    return clf
+
+
+class TestEpochPseudoRows:
+    """Each epoch makes its pseudo rows in one call; the head must be the one
+    a per-step reference trains."""
+
+    @pytest.mark.parametrize("batch_proto", [True, False])
+    @pytest.mark.parametrize("kind", ["identity", "mlp1"])
+    def test_head_matches_per_step_reference(self, kind, batch_proto):
+        ds, _, cfg, _ = small_setup(enable_batch_proto=batch_proto)
+        # 3 classes of 30 rows per task: batches of 16 with a short final one
+        sched = TaskSchedule(6, 3, 3, 2, class_order_for(ds, 3))
+        spec = ExtractorSpec(kind, 6, 6 if kind == "identity" else 4, hidden_dim=8)
+        tasks = split_schedule(ds, sched)
+        state = fresh_state(sched, spec, cfg)
+        run_task0(state, tasks[0], cfg)
+        before = copy.deepcopy(state)
+        run_incremental_task(state, tasks[1], cfg)
+        ref = reference_incremental_head(before, tasks[1], cfg)
+        assert np.array_equal(state.clf.W, ref.W) and np.array_equal(state.clf.b, ref.b)
+        if not batch_proto:
+            # means summed in the train set's order differ only by rounding
+            old = reference_incremental_head(before, tasks[1], cfg, task_order_means=True)
+            assert np.abs(state.clf.W - old.W).max() < 1e-10
+            assert np.abs(state.clf.b - old.b).max() < 1e-10
 
 
 class TestDegenerateSchedules:

@@ -4,10 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
-from pgpfr.numerics import covariance
-from pgpfr.prototypes import (PrototypeStore, batch_class_prototypes,
-                              fit_class_statistics, register)
-from conftest import dense_covariances
+from pgpfr.numerics import cosine_sim, covariance
+from pgpfr.prototypes import PrototypeStore, fit_class_statistics, register
+from pgpfr.replay import generate_pseudo_batch
+from conftest import dense_covariances, random_store
 
 
 class TestFitClassStatistics:
@@ -63,41 +63,57 @@ class TestCovarianceForms:
         assert held == (20 + 1) * 512 * 8 + 2 * 8   # root, prototype, id and count
 
 
+def batch_prototypes(features, labels, batch_sizes=None) -> np.ndarray:
+    """Each row's batch class prototype as `generate_pseudo_batch` translates
+    by it: against one old class at the origin, a pseudo row is f - mu_hat."""
+    features = np.asarray(features, dtype=np.float64)
+    origin = PrototypeStore([0], [1], np.zeros((1, features.shape[1])))
+    return features - generate_pseudo_batch(features, labels, origin, batch_sizes).features
+
+
 class TestBatchClassPrototypes:
+    """Batch class prototypes, the mean of one label's rows within one batch,
+    which pseudo-feature generation groups and translates by."""
+
     def test_midpoint(self):
-        ids, protos = batch_class_prototypes([[1, 0], [3, 0]], [5, 5])
-        assert ids.tolist() == [5] and np.allclose(protos, [[2, 0]])
+        assert np.allclose(batch_prototypes([[1, 0], [3, 0]], [5, 5]), [[2, 0]] * 2)
 
     def test_singletons(self):
-        ids, protos = batch_class_prototypes([[1, 2], [3, 4]], [0, 1])
-        assert ids.tolist() == [0, 1]
-        assert np.allclose(protos, [[1, 2], [3, 4]])
+        assert np.allclose(batch_prototypes([[1, 2], [3, 4]], [0, 1]), [[1, 2], [3, 4]])
+        assert np.allclose(batch_prototypes([[1, 2], [3, 4]], [0, 0], [1, 1]),
+                           [[1, 2], [3, 4]])
 
     def test_mixed_batch(self):
-        ids, protos = batch_class_prototypes([[0, 0], [2, 2], [4, 0]], [1, 1, 0])
-        assert ids.tolist() == [0, 1]
-        assert np.allclose(protos, [[4, 0], [1, 1]])
+        assert np.allclose(batch_prototypes([[0, 0], [2, 2], [4, 0]], [1, 1, 0]),
+                           [[1, 1], [1, 1], [4, 0]])
 
     @pytest.mark.parametrize("n, dim, n_labels", [(32, 64, 15), (7, 3, 7), (200, 5, 2)])
     def test_matches_masked_means(self, rng, n, dim, n_labels):
         feats = rng.normal(size=(n, dim))
         labels = rng.integers(0, n_labels, size=n) * 3 + 1
-        ids, protos = batch_class_prototypes(feats, labels)
-        assert ids.tolist() == sorted(set(labels.tolist()))
-        for cid, p in zip(ids, protos):
-            assert np.abs(p - feats[labels == cid].mean(axis=0)).max() < 1e-12
+        sizes = [min(8, n - i) for i in range(0, n, 8)]   # the last batch may be short
+        batch = np.repeat(np.arange(len(sizes)), sizes)
+        protos = batch_prototypes(feats, labels, sizes)
+        for b, cid in set(zip(batch.tolist(), labels.tolist())):
+            sel = (batch == b) & (labels == cid)
+            assert np.abs(protos[sel] - feats[sel].mean(axis=0)).max() < 1e-12
 
     def test_full_dataset_matches_fit(self, rng):
+        # one batch of every row translates by exactly the fitted prototypes
         feats = rng.normal(size=(40, 3))
         labels = rng.integers(0, 4, size=40)
-        ids, protos = batch_class_prototypes(feats, labels)
-        store = fit_class_statistics(feats, labels)
-        assert np.array_equal(ids, store.ids)
-        assert np.array_equal(protos, store.prototypes)
+        store = random_store(rng, 3, 3)
+        fit = fit_class_statistics(feats, labels)
+        best = cosine_sim(fit.prototypes, store.prototypes).argmax(axis=1)
+        at = np.searchsorted(fit.ids, labels)
+        pb = generate_pseudo_batch(feats, labels, store)
+        assert np.array_equal(pb.features,
+                              feats + (store.prototypes[best] - fit.prototypes)[at])
+        assert np.array_equal(pb.labels, store.ids[best][at])
 
     def test_empty(self):
         with pytest.raises(InvalidArgumentError):
-            batch_class_prototypes(np.empty((0, 2)), [])
+            batch_prototypes(np.empty((0, 2)), [])
 
 
 def _store(ids, dim=2):

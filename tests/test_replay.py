@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
@@ -109,20 +109,49 @@ class TestGeneratePseudoBatch:
         assert np.allclose(pb.features, [[5, 5]])
 
     def test_translation_arithmetic(self):
-        # f + mu_p - mu_hat = [1,1] + [3,0] - [1,0] = [3,1]
+        # f + mu_p - mu_hat = [1,1] + [3,0] - [1,0] = [3,1], and [3,-1] for [1,-1]
         store = store_with_protos({0: [3, 0]})
-        pb = generate_pseudo_batch([[1.0, 1.0]], [4], store,
-                                   group_prototypes=([4], [[1.0, 0.0]]))
-        assert np.allclose(pb.features, [[3, 1]])
+        pb = generate_pseudo_batch([[1.0, 1.0], [1.0, -1.0]], [4, 4], store)
+        assert np.allclose(pb.features, [[3, 1], [3, -1]])
 
     def test_whole_task_prototypes_beyond_the_batch(self):
-        # groups 2 and 9 of a task's 2, 4, 9; group 4 is not in the batch
+        # an epoch of two batches with labels 9, 2 each: per batch, each row is
+        # its group's only row and lands on its prototype; as one batch, the
+        # label means [0.5, 3] and [2, 0.5] span both batches
         store = store_with_protos({0: [1, 0], 1: [0, 1]})
-        task_protos = ([2, 4, 9], [[2.0, 0.0], [0.0, 5.0], [0.0, 3.0]])
-        feats = np.array([[1.0, 4.0], [3.0, 1.0], [0.0, 2.0]])
-        pb = generate_pseudo_batch(feats, [9, 2, 9], store, group_prototypes=task_protos)
-        assert pb.labels.tolist() == [1, 0, 1]
-        assert np.allclose(pb.features, [[1, 2], [2, 1], [0, 0]])
+        feats = np.array([[1.0, 4.0], [3.0, 1.0], [0.0, 2.0], [1.0, 0.0]])
+        labels = [9, 2, 9, 2]
+        per_batch = generate_pseudo_batch(feats, labels, store, [2, 2])
+        whole = generate_pseudo_batch(feats, labels, store)
+        assert per_batch.labels.tolist() == whole.labels.tolist() == [1, 0, 1, 0]
+        assert np.allclose(per_batch.features, [[0, 1], [1, 0], [0, 1], [1, 0]])
+        assert np.allclose(whole.features, [[0.5, 2], [2, 0.5], [-0.5, 0], [0, -0.5]])
+
+    @given(labels=st.lists(st.sampled_from([-2 ** 63, -3, -1, 0, 1, 2, 7, 2 ** 32,
+                                            2 ** 32 + 1, 2 ** 63 - 1]),
+                           min_size=1, max_size=40),
+           batch_size=st.integers(1, 12), dim=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # batch 0 / label 1 and batch 1 / label -1 share key 1 under
+    # batch * (max + 1) + label; batch size 1
+    @example(labels=[1, -1], batch_size=1, dim=2, seed=0)
+    # single-group batches with a short final batch
+    @example(labels=[7] * 6, batch_size=4, dim=3, seed=1)
+    # large ids split over batches, short final batch
+    @example(labels=[2 ** 32, 2 ** 32 + 1, -3, 2 ** 32, -3], batch_size=2, dim=2, seed=2)
+    @settings(max_examples=80, deadline=None)
+    def test_one_call_per_epoch_equals_one_call_per_batch(self, labels, batch_size,
+                                                           dim, seed):
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(len(labels), dim)) * 3.0
+        store = random_store(rng, 4, dim)
+        labels = np.array(labels, dtype=np.int64)
+        bounds = list(range(0, len(labels), batch_size)) + [len(labels)]
+        epoch = generate_pseudo_batch(feats, labels, store, np.diff(bounds))
+        per_batch = [generate_pseudo_batch(feats[lo:hi], labels[lo:hi], store)
+                     for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(epoch.features, np.vstack([p.features for p in per_batch]))
+        assert np.array_equal(epoch.labels, np.concatenate([p.labels for p in per_batch]))
 
     def test_group_mean_fidelity_and_dispersion(self, rng):
         store = random_store(rng, 4, 5)
@@ -159,24 +188,22 @@ class TestGeneratePseudoBatch:
         with pytest.raises(InvalidArgumentError):
             generate_pseudo_batch(np.empty((0, 2)), [], random_store(rng, 2, 2))
 
-    def test_group_prototypes_missing_a_batch_label(self):
+    @pytest.mark.parametrize("batch_sizes", [[1], [1, 2], [3, -1], [[2]], [1.5, 0.5]])
+    def test_batch_sizes_must_split_the_rows(self, batch_sizes):
         store = store_with_protos({0: [1, 0]})
-        with pytest.raises(InvalidArgumentError, match=r"\[5\]"):
-            generate_pseudo_batch([[1.0, 1.0], [2.0, 2.0]], [4, 5], store,
-                                  group_prototypes=([4], [[1.0, 0.0]]))
+        with pytest.raises(InvalidArgumentError, match="do not split 2 rows"):
+            generate_pseudo_batch([[1.0, 1.0], [2.0, 2.0]], [4, 5], store, batch_sizes)
 
-    def test_group_prototype_dim_must_match_features(self):
+    def test_store_dim_must_match_features(self):
         store = store_with_protos({0: [1, 0]})
-        with pytest.raises(InvalidArgumentError, match="dim 2, features 3"):
-            generate_pseudo_batch([[1.0, 1.0, 1.0]], [4], store,
-                                  group_prototypes=([4], [[1.0, 0.0]]))
+        with pytest.raises(InvalidArgumentError, match=r"\(1, 3\) and \(1, 2\)"):
+            generate_pseudo_batch([[1.0, 1.0, 1.0]], [4], store)
 
-    @pytest.mark.parametrize("group_prototypes", [None, ([4], [[1.0, 0.0]])])
-    def test_label_count_must_match_rows(self, group_prototypes):
+    @pytest.mark.parametrize("batch_sizes", [None, [1, 1]])
+    def test_label_count_must_match_rows(self, batch_sizes):
         store = store_with_protos({0: [1, 0]})
         with pytest.raises(InvalidArgumentError, match="3 labels for 2 feature rows"):
-            generate_pseudo_batch([[1.0, 1.0], [2.0, 2.0]], [4, 4, 4], store,
-                                  group_prototypes=group_prototypes)
+            generate_pseudo_batch([[1.0, 1.0], [2.0, 2.0]], [4, 4, 4], store, batch_sizes)
 
 
 class TestMerge:
