@@ -6,6 +6,7 @@ contiguous task ranges; `expand` appends rows without touching existing ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,15 @@ def predict(clf: IncrementalClassifier, features) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moments per named parameter, plus the step count they share."""
+    """Adam moments per named parameter, plus the step count they share.
+
+    `m` and `v` hold the raw exponentially weighted sums m <- beta1*m + g and
+    v <- beta2*v + g*g, without the (1 - beta) factors. Each update folds
+    those factors and both bias corrections into two scalars (Kingma & Ba,
+    ICLR 2015, section 2), a step size alpha_t and an epsilon eps_t:
+    theta -= alpha_t * m / (sqrt(v) + eps_t), which equals the textbook
+    lr * m_hat / (sqrt(v_hat) + eps) in exact arithmetic.
+    """
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step_count: int = 0
@@ -88,23 +97,30 @@ class AdamState:
     eps: float = 1e-8
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """One in-place Adam step with bias correction on every named parameter."""
+        """One in-place Adam step on every named parameter, with one
+        temporary array per parameter."""
         self.step_count += 1
-        t = self.step_count
+        t, beta1, beta2 = self.step_count, self.beta1, self.beta2
+        v_scale = math.sqrt(1 - beta2 ** t) / math.sqrt(1 - beta2)  # sqrt(v_raw / v_hat)
+        alpha_t = self.lr * (1 - beta1) / (1 - beta1 ** t) * v_scale
+        eps_t = self.eps * v_scale
         for name, grad in grads.items():
             param, m, v = params[name], self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * grad * grad
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= beta1
+            m += grad
+            s = np.multiply(grad, grad, out=np.empty_like(v))  # an array even when 0-d
+            v *= beta2
+            v += s
+            np.sqrt(v, out=s)
+            s += eps_t
+            np.divide(m, s, out=s)
+            s *= alpha_t
+            param -= s
 
 
 def new_adam_state(params: dict[str, np.ndarray], lr: float = 0.001) -> AdamState:
     """Zero moments for each named parameter array."""
-    if lr <= 0:
+    if not lr > 0:
         raise InvalidArgumentError(f"lr must be positive, got {lr}")
     return AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
                      v={k: np.zeros_like(p) for k, p in params.items()}, lr=lr)

@@ -61,7 +61,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs_task0 < 0 or self.epochs_incremental < 0:
             raise InvalidArgumentError("epoch counts must be >= 0")
-        if self.batch_size < 1 or self.lr <= 0:
+        if self.batch_size < 1 or not self.lr > 0:
             raise InvalidArgumentError("batch_size and lr must be positive")
         if self.seed < 0:
             raise InvalidArgumentError(f"train seed must be >= 0, got {self.seed}")
@@ -87,9 +87,9 @@ def _rows(state: ExperimentState, labels) -> np.ndarray:
 
 def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndarray,
                  train_rows: np.ndarray) -> None:
-    """Check the head, add the task's embedded test set to the pool, record G
-    and L, and register the task's class statistics from its embedded train
-    set.
+    """Check the head and the task's embedded train and test features, add
+    the test set to the pool, record G and L, and register the task's class
+    statistics from its embedded train set.
 
     G, L and the old/new accuracies come from one prediction over the pool;
     L reads the pool's last block, the current task's test set. The store is
@@ -99,7 +99,11 @@ def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndar
     if not (np.isfinite(state.clf.W).all() and np.isfinite(state.clf.b).all()):
         raise InvalidStateError(
             f"task {data.task_index} diverged: the head's W or b is non-finite")
-    state.test_features.append(state.extractor.embed_batch(data.test_features))
+    test_feats = state.extractor.embed_batch(data.test_features)
+    if not (np.isfinite(train_feats).all() and np.isfinite(test_feats).all()):
+        raise InvalidStateError(
+            f"task {data.task_index} diverged: its embedded train or test features are non-finite")
+    state.test_features.append(test_feats)
     state.test_labels.append(_rows(state, data.test_labels))
 
     y_all = np.concatenate(state.test_labels)

@@ -48,11 +48,14 @@ class Extractor:
     frozen: bool = False
 
     def embed_batch(self, x) -> np.ndarray:
+        """Features of the (N, input_dim) batch x. A diverged backbone gives
+        non-finite features without a numpy warning; callers check them."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise InvalidArgumentError(
                 f"input must be (N, {self.spec.input_dim}), got {x.shape}")
-        return self._forward(x)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._forward(x)[0]
 
     def _forward(self, x: np.ndarray):
         """Features of the (N, input_dim) batch x, plus the hidden activation

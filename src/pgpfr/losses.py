@@ -41,9 +41,9 @@ class LossConfig:
     enable_batch_proto: bool = True  # batch prototypes vs whole-task prototypes
 
     def __post_init__(self):
-        if self.temperature_R <= 0:
+        if not self.temperature_R > 0:
             raise InvalidArgumentError(f"temperature must be positive, got {self.temperature_R}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise InvalidArgumentError(f"gamma must be >= 0, got {self.gamma}")
 
 

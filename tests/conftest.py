@@ -125,6 +125,26 @@ def random_store(rng, n_old: int, dim: int, zero_cov: bool = False) -> Prototype
                           roots.reshape(-1, dim))
 
 
+class ReferenceAdam:
+    """Textbook Adam (Kingma & Ba, Algorithm 1): moments with the (1 - beta)
+    factors, bias-corrected m_hat and v_hat, then lr * m_hat / (sqrt(v_hat) + eps).
+    Updates the named arrays in place."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self.t, self.lr, self.beta1, self.beta2, self.eps = 0, lr, beta1, beta2, eps
+
+    def update(self, params, grads):
+        self.t += 1
+        for name, g in grads.items():
+            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            m_hat = self.m[name] / (1 - self.beta1 ** self.t)
+            v_hat = self.v[name] / (1 - self.beta2 ** self.t)
+            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ReferenceAdam
 from pgpfr.classifier import (AdamState, adam_step, expand, logits,
                               new_adam_state, new_classifier, predict)
 from pgpfr.errors import InvalidArgumentError
@@ -134,6 +137,41 @@ class TestAdam:
         with pytest.raises(InvalidArgumentError):
             adam_step(clf, self._grads(clf, np.zeros((5, 3)), np.zeros(2)),
                       new_adam_state(clf.params))
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan")])
+    def test_rejects_non_positive_or_nan_lr(self, lr):
+        with pytest.raises(InvalidArgumentError, match="lr must be positive"):
+            new_adam_state({"W": np.zeros(2)}, lr=lr)
+
+    @given(shapes=st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1, max_size=3),
+           steps=st.integers(1, 50), lr=st.floats(1e-5, 1.0),
+           zero_steps=st.sets(st.integers(0, 49)), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_textbook_adam(self, shapes, steps, lr, zero_steps, seed):
+        # the folded step is the bias-corrected one reordered: several named
+        # parameters of any shape (empty ones too), some steps with all-zero
+        # gradients and some gradient entries exactly zero
+        rng = np.random.default_rng(seed)
+        params = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        ref_params = {k: p.copy() for k, p in params.items()}
+        state, ref = new_adam_state(params, lr=lr), ReferenceAdam(ref_params, lr)
+        for t in range(steps):
+            grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 4)
+                        * (rng.random(p.shape) < 0.8) * (t not in zero_steps)
+                     for k, p in params.items()}
+            state.update(params, grads)
+            ref.update(ref_params, grads)
+        assert state.step_count == steps
+        for k in params:
+            # rtol on the values, and the same 1e-12 on the distance moved
+            # (at most about lr per step), where a value crosses zero
+            np.testing.assert_allclose(params[k], ref_params[k], rtol=1e-12,
+                                       atol=1e-12 * lr * steps)
+            # m and v are the raw sums: the textbook moments without (1 - beta);
+            # m's entries can cancel to near zero, so its atol is scaled too
+            np.testing.assert_allclose(0.1 * state.m[k], ref.m[k], rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref.m[k]).max(initial=0.0))
+            np.testing.assert_allclose(0.001 * state.v[k], ref.v[k], rtol=1e-12)
 
     def test_step_count_increments(self):
         clf = new_classifier(2, 2, seed=0)

@@ -90,6 +90,8 @@ class TestRun:
         ("losses.R=abc", "losses.R must be a number, got 'abc'"),
         ("losses.R=Infinity", "losses.R must be a number, got inf"),
         ("losses.gamma=false", "losses.gamma must be a number, got False"),
+        ("losses.R=NaN", "losses.R must be a number, got nan"),
+        ("losses.gamma=NaN", "losses.gamma must be a number, got nan"),
         ("losses.enable_V=1", "losses.enable_V must be true or false, got 1"),
         ("schedule=3", "schedule must be an object, got 3"),
     ])
@@ -104,6 +106,22 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: task ") and "diverged" in err and err.count("\n") == 1
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("n_tasks", [1, 3])
+    def test_diverged_backbone_exits_1_naming_task_0(self, tmp_path, n_tasks):
+        # one step at lr 1e300 leaves finite backbone weights near 1e300, so
+        # the loss was finite but the embedded features overflow
+        cfg = write_config(
+            tmp_path, synth={"classes": 4, "dim": 6, "per_class_train": 30,
+                             "per_class_test": 10, "seed": 1},
+            schedule={"k": 2, "d": 1, "n_tasks": n_tasks},
+            extractor={"kind": "mlp1", "feature_dim": 4, "hidden_dim": 8})
+        proc = run_cli("run", cfg, "--set", "train.lr=1e300", "--set", "train.batch_size=1000",
+                       "--set", "train.epochs_task0=1")
+        assert_one_line_error(proc, 1)
+        assert proc.stderr.startswith("error: task 0 diverged: ")
+        assert "features are non-finite" in proc.stderr
         assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):

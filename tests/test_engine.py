@@ -42,6 +42,12 @@ def test_train_config_rejects_negative_seed():
         TrainConfig(seed=-1)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+def test_train_config_rejects_non_positive_or_nan_lr(lr):
+    with pytest.raises(InvalidArgumentError, match="lr must be positive"):
+        TrainConfig(lr=lr)
+
+
 class TestRunTask0:
     def test_freezes_and_registers(self):
         ds, sched, cfg, spec = small_setup()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import ReferenceAdam
 from pgpfr.classifier import new_classifier
-from pgpfr.dataio import TaskDataset
+from pgpfr.dataio import TaskDataset, batches
 from pgpfr.engine import TrainConfig
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
 from pgpfr.extractor import (Extractor, ExtractorSpec, _ce_forward_backward,
@@ -112,6 +113,32 @@ class TestTrainTask0:
         with np.errstate(all="ignore"), \
                 pytest.raises(InvalidStateError, match=r"task 0 .*epoch 0, step \d"):
             train_task0(e, make_task(rng), head, cfg)
+
+    def test_matches_loop_with_textbook_adam(self, rng):
+        # train_task0's folded Adam against the bias-corrected reference over
+        # the same joint gradients and batch order
+        task = make_task(rng, n_classes=3, dim=4, per_class=20)
+        cfg = TrainConfig(epochs_task0=4, batch_size=16, lr=0.01, seed=1)
+        spec = ExtractorSpec("mlp1", 4, 3, hidden_dim=5, seed=2)
+        e, head = init(spec), new_classifier(3, 3, seed=0)
+        train_task0(e, task, head, cfg)
+
+        ref_e, ref_head = init(spec), new_classifier(3, 3, seed=0)
+        params = {"head." + k: p for k, p in ref_head.params.items()}
+        params.update({"backbone." + k: p for k, p in ref_e.params.items()})
+        adam = ReferenceAdam(params, cfg.lr)
+        for epoch in range(cfg.epochs_task0):
+            for idx in batches(task, cfg.batch_size, cfg.seed, epoch):
+                _, head_grads, ext_grads = _ce_forward_backward(
+                    ref_e, ref_head, task.train_features[idx], task.train_labels[idx])
+                grads = {"head." + k: g for k, g in head_grads.items()}
+                grads.update({"backbone." + k: g for k, g in ext_grads.items()})
+                adam.update(params, grads)
+        assert adam.t == 4 * 4
+        for name in e.params:
+            np.testing.assert_allclose(e.params[name], ref_e.params[name], rtol=1e-10)
+        np.testing.assert_allclose(head.W, ref_head.W, rtol=1e-10)
+        np.testing.assert_allclose(head.b, ref_head.b, rtol=1e-10)
 
     def test_separable_classes_learned(self, rng):
         # two Gaussian classes far apart are closed-form separable; the

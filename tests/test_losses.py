@@ -29,6 +29,17 @@ def make_clf(rng, dim, n_classes):
     return clf
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"temperature_R": 0.0}, "temperature must be positive"),
+    ({"temperature_R": float("nan")}, "temperature must be positive"),
+    ({"gamma": -1.0}, "gamma must be >= 0"),
+    ({"gamma": float("nan")}, "gamma must be >= 0"),
+])
+def test_loss_config_rejects_out_of_range_or_nan(kwargs, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        LossConfig(**kwargs)
+
+
 class TestReplayCE:
     def test_uniform_real_row(self):
         clf = new_classifier(2, 2, seed=0)
