@@ -164,14 +164,14 @@ class TestAdam:
         assert state.step_count == steps
         for k in params:
             # rtol on the values, and the same 1e-12 on the distance moved
-            # (at most about lr per step), where a value crosses zero
+            # (Adam moves a value by about lr per step), where a value crosses zero
             np.testing.assert_allclose(params[k], ref_params[k], rtol=1e-12,
                                        atol=1e-12 * lr * steps)
             # m and v are the raw sums: the textbook moments without (1 - beta);
             # m's entries can cancel to near zero, so its atol is scaled too
-            np.testing.assert_allclose(0.1 * state.m[k], ref.m[k], rtol=1e-12,
+            np.testing.assert_allclose((1 - state.beta1) * state.m[k], ref.m[k], rtol=1e-12,
                                        atol=1e-12 * np.abs(ref.m[k]).max(initial=0.0))
-            np.testing.assert_allclose(0.001 * state.v[k], ref.v[k], rtol=1e-12)
+            np.testing.assert_allclose((1 - state.beta2) * state.v[k], ref.v[k], rtol=1e-12)
 
     def test_step_count_increments(self):
         clf = new_classifier(2, 2, seed=0)
