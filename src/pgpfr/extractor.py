@@ -135,6 +135,8 @@ def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg):
         raise InvalidStateError("extractor is frozen; task-0 training is not allowed")
     x_all = np.asarray(data.train_features, dtype=np.float64)
     y_all = np.asarray(data.train_labels, dtype=np.int64)
+    if y_all.min() < 0:
+        raise InvalidArgumentError(f"task-0 label {y_all.min()} is negative")
     if y_all.max() >= head.n_classes:
         raise InvalidStateError("task-0 labels exceed the classifier's class count")
 

@@ -10,9 +10,11 @@ Four losses:
     slice of the shared head.
 
 The two prototype losses read the store's packed arrays only: `ids` picks
-the old classes' head rows, `prototypes` is their (No, D) mean matrix, and
-VPR's penalty reads the zero-padded (No * r_max, D) `roots` block. Neither
-loss looks at a class one at a time.
+the old classes' head rows (every id must be one), `prototypes` is their
+(No, D) mean matrix, and VPR's penalty reads the zero-padded (No * r_max, D)
+`roots` block when 2 * r_max <= D (4 * No^2 * r_max * D flops a call) and the
+store's dense (No * D, D) `covariances` otherwise (2 * No^2 * D^2 flops).
+Neither loss looks at a class one at a time.
 
 All reductions are means, so loss magnitudes are batch-size invariant.
 Gradients are analytic and checked against finite differences in the tests.
@@ -74,6 +76,12 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
     return nll, d
 
 
+def _check_labels(labels: np.ndarray, n_classes: int, kind: str) -> None:
+    """One min and one max: every label must index one of n_classes logits."""
+    if len(labels) and (labels.min() < 0 or labels.max() >= n_classes):
+        raise InvalidArgumentError(f"{kind} label outside [0, {n_classes})")
+
+
 def replay_ce_loss(batch: MergedBatch, clf: IncrementalClassifier, n_old: int,
                    cfg: LossConfig) -> LossValueGrad:
     """Cross-entropy over the merged batch.
@@ -87,27 +95,23 @@ def replay_ce_loss(batch: MergedBatch, clf: IncrementalClassifier, n_old: int,
     z = np.asarray(batch.features, dtype=np.float64)
     labels = np.asarray(batch.labels, dtype=np.int64)
     mask = np.asarray(batch.pseudo_mask, dtype=bool)
-    if mask.any():
-        if n_old < 1:
-            raise InvalidArgumentError("pseudo rows present but n_old < 1")
-        if labels[mask].max() >= n_old:
-            raise InvalidArgumentError("pseudo row label outside the old-class range")
+    real = ~mask
+    yp, yr = labels[mask], labels[real]
+    _check_labels(yp, n_old, "pseudo row")
+    _check_labels(yr, clf.n_classes, "real row")
 
     temp = cfg.temperature_R if cfg.enable_sharpening else 1.0
     grad_w, grad_b = _zeros_like(clf)
     value = 0.0
     dlogits = np.zeros((n, clf.n_classes))
 
-    if mask.any():
-        zp, yp = z[mask], labels[mask]
-        nll, d = _softmax_ce((zp @ clf.W[:n_old].T + clf.b[:n_old]) / temp, yp)
+    if len(yp):
+        nll, d = _softmax_ce((z[mask] @ clf.W[:n_old].T + clf.b[:n_old]) / temp, yp)
         value += nll
         dlogits[np.ix_(mask.nonzero()[0], np.arange(n_old))] = d / temp
 
-    real = ~mask
-    if real.any():
-        zr, yr = z[real], labels[real]
-        nll, d = _softmax_ce(zr @ clf.W.T + clf.b, yr)
+    if len(yr):
+        nll, d = _softmax_ce(z[real] @ clf.W.T + clf.b, yr)
         value += nll
         dlogits[real] = d
 
@@ -117,11 +121,20 @@ def replay_ce_loss(batch: MergedBatch, clf: IncrementalClassifier, n_old: int,
     return LossValueGrad(value / n, grad_w, grad_b)
 
 
-def proto_loss(store: PrototypeStore, clf: IncrementalClassifier) -> LossValueGrad:
-    """Each old prototype classified against the old-class rows only."""
+def _old_rows(store: PrototypeStore, clf: IncrementalClassifier) -> np.ndarray:
+    """The store's class ids, checked to be rows of the head (they ascend)."""
     if len(store) == 0:
         raise InvalidStateError("prototype store is empty")
-    old_ids, mu = store.ids, store.prototypes           # mu: (No, D)
+    ids = store.ids
+    if ids[0] < 0 or ids[-1] >= clf.n_classes:
+        raise InvalidArgumentError(
+            f"store ids {ids[0]}..{ids[-1]} are not rows of a {clf.n_classes}-class head")
+    return ids
+
+
+def proto_loss(store: PrototypeStore, clf: IncrementalClassifier) -> LossValueGrad:
+    """Each old prototype classified against the old-class rows only."""
+    old_ids, mu = _old_rows(store, clf), store.prototypes   # mu: (No, D)
     wo, bo = clf.W[old_ids], clf.b[old_ids]
     n_old = len(old_ids)
 
@@ -143,30 +156,43 @@ def vpr_loss(store: PrototypeStore, clf: IncrementalClassifier,
     gamma * (w_c - w_k)' C_k (w_c - w_k); the c = k term is exactly zero,
     so gamma = 0 (or all-zero covariances) reduces to proto_loss.
 
-    Each C_k is held as a root F_k (r_k, D) with C_k = F_k'F_k, so the
-    penalty is the squared norm of t = F_k (w_c - w_k) and its gradient is
-    F_k't. The store packs every root into one zero-padded (No * r_max, D)
-    block (see `prototypes`), so a call is two (No, No * r_max) x
-    (No * r_max, D) products: 4*No*r_max*D flops per old class, with No old
-    classes, D features and r_max the largest root's row count. Zero rows
-    add exactly 0, so a class with n_k < 2 keeps q = 0.
+    With No old classes, D features and r_max rows per root slot (see
+    `prototypes`), a call takes one of two paths, whichever needs fewer flops:
+      * root path, 2 * r_max <= D: with C_k = F_k'F_k, the penalty is the
+        squared norm of t = F_k (w_c - w_k) and its gradient is F_k't, two
+        (No, No * r_max) x (No * r_max, D) products over the zero-padded root
+        block, 4 * No^2 * r_max * D flops. Zero rows add exactly 0, so a
+        class with n_k < 2 keeps q = 0.
+      * dense path, 2 * r_max > D: one (No, D) x (D, No * D) product against
+        the store's dense `covariances` gives C_k w_c for every pair,
+        2 * No^2 * D^2 flops; the penalty and its gradient are batched
+        reductions of that product, with no second product.
     """
-    if len(store) == 0:
-        raise InvalidStateError("prototype store is empty")
+    old_ids = _old_rows(store, clf)
     gamma = cfg.gamma
-    old_ids, mu, f = store.ids, store.prototypes, store.roots
+    mu = store.prototypes
     wo, bo = clf.W[old_ids], clf.b[old_ids]
-    n_old = len(old_ids)
+    n_old, dim = mu.shape
     diag = np.arange(n_old)
+    dense = 2 * store.r_max > dim
+    m = store.covariances if dense else store.roots    # rows of every C_k, or of every F_k
 
-    t = (wo @ f.T).reshape(n_old, n_old, store.r_max)  # t[c, k, j] = w_c . f_kj, f_kj row j of F_k
-    t -= t[diag, diag]                                  # t[c, k, j] = f_kj . (w_c - w_k)
-    q = np.einsum("ckj,ckj->kc", t, t)                  # q[k, c] = (w_c - w_k)' C_k (w_c - w_k)
+    t = (wo @ m.T).reshape(n_old, n_old, len(m) // n_old)  # t[c, k] = C_k w_c, or F_k w_c
+    t -= t[diag, diag]                                  # t[c, k] = C_k (w_c - w_k), or F_k (w_c - w_k)
+    if dense:                                           # q[k, c] = (w_c - w_k)' C_k (w_c - w_k)
+        q = np.einsum("cj,ckj->kc", wo, t) - np.einsum("kj,ckj->kc", wo, t)
+    else:
+        q = np.einsum("ckj,ckj->kc", t, t)
     logp = _log_softmax(mu @ wo.T + bo + gamma * q)     # logp[k]: log-softmax row of class k
     probs = np.exp(logp)
-    t *= probs.T[:, :, None]                            # p_k[c] * t[c, k, j]
-    t[diag, diag] -= t.sum(axis=0)                      # w_k is in every penalty term of class k
-    pen = t.reshape(n_old, f.shape[0]) @ f              # sum over k of p_k[c] C_k (w_c - w_k)
+    # pen[c] = sum_k p_k[c] C_k (w_c - w_k) - sum_c' p_c[c'] C_c (w_c' - w_c),
+    # the second sum because w_k is in every penalty term of class k
+    if dense:
+        pen = np.einsum("kc,ckj->cj", probs, t) - np.einsum("ck,kcj->cj", probs, t)
+    else:
+        t *= probs.T[:, :, None]                        # p_k[c] * t[c, k, j]
+        t[diag, diag] -= t.sum(axis=0)
+        pen = t.reshape(n_old, len(m)) @ m
 
     value = -float(np.trace(logp))                      # logp[k, k]: class k at its own prototype
     # d s_c / d w_c = mu_k + 2 gamma C_k (w_c - w_k): the prototype part sums

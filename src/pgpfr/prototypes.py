@@ -15,11 +15,17 @@ with r = min(n, D), or no rows when n < 2. Class k's slot in `roots` is rows
 k * r_max to (k + 1) * r_max: its r_k root rows first, zero rows after, r_max
 the largest r_k. Zero rows add exactly 0 to VPR's penalty, so the padding
 changes no value; it costs flops only when the r_k differ.
+
+`covariances` (No * D, D) is derived from `roots` on first use and kept: class
+k's dense C_k = F_k'F_k in rows k * D to (k + 1) * D, symmetrized exactly as
+`numerics.covariance` is. VPR reads it only when 2 * r_max > D; `roots` stays
+the only statistic a store is built from.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +63,16 @@ class PrototypeStore:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def covariances(self) -> np.ndarray:
+        """Read-only (No * D, D) block of the dense covariances, built once."""
+        dim = self.prototypes.shape[1]
+        f = self.roots.reshape(len(self), self.r_max, dim)
+        c = f.transpose(0, 2, 1) @ f
+        c = ((c + c.transpose(0, 2, 1)) / 2.0).reshape(len(self) * dim, dim)
+        c.flags.writeable = False
+        return c
 
 
 def _group_means(features, labels, caller: str):
