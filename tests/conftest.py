@@ -111,13 +111,19 @@ def scalar_vpr(store: PrototypeStore, w, b, gamma) -> float:
     return total / len(ids)
 
 
-def random_store(rng, n_old: int, dim: int, zero_cov: bool = False) -> PrototypeStore:
+def random_store(rng, n_old: int, dim: int, zero_cov: bool = False,
+                 rank: int | None = None) -> PrototypeStore:
     """Classes 0..n_old-1 with random prototypes; each root is the (D, D) QR
-    factor of D + 2 centred random rows, or has no rows when zero_cov."""
+    factor of D + 2 centred random rows, or has no rows when zero_cov. With
+    `rank`, each root is a random (rank, D) matrix scaled by 1/sqrt(rank)
+    instead, so a rank with 2 * rank <= D puts the store on VPR's root path."""
+    r = 0 if zero_cov else dim if rank is None else rank
     protos = np.empty((n_old, dim))
-    roots = np.zeros((n_old, 0 if zero_cov else dim, dim))
+    roots = np.zeros((n_old, r, dim))
     for k in range(n_old):
-        if not zero_cov:
+        if rank is not None:
+            roots[k] = rng.normal(size=(rank, dim)) / math.sqrt(max(rank, 1))
+        elif not zero_cov:
             a = rng.normal(size=(dim + 2, dim))
             roots[k] = np.linalg.qr((a - a.mean(axis=0)) / math.sqrt(dim + 1), mode="r")
         protos[k] = rng.normal(size=dim)

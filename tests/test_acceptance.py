@@ -65,6 +65,9 @@ def mean_g(records):
 
 def test_criterion_1_gradient_fidelity():
     rng = np.random.default_rng(0)
+    # random_store's (D, D) roots put VPR on its dense path; a store of
+    # (D // 2, D) roots, drawn from its own stream, checks the root path
+    root_rng = np.random.default_rng(100)
     t0 = time.time()
     worst = 0.0
     for _ in range(50):
@@ -88,6 +91,11 @@ def test_criterion_1_gradient_fidelity():
         fw, fb = fd_gradients(lambda c: vpr_loss(store, c, cfg), clf)
         worst = max(worst, max_rel_error(out, fw, fb))
 
+        root_store = random_store(root_rng, n_old, dim, rank=dim // 2)
+        out = vpr_loss(root_store, clf, cfg)
+        fw, fb = fd_gradients(lambda c: vpr_loss(root_store, c, cfg), clf)
+        worst = max(worst, max_rel_error(out, fw, fb))
+
         lo = int(rng.integers(0, n_classes))
         hi = int(rng.integers(lo + 1, n_classes + 1))
         feats = rng.normal(size=(4, dim))
@@ -97,7 +105,7 @@ def test_criterion_1_gradient_fidelity():
         worst = max(worst, max_rel_error(out, fw, fb))
     elapsed = time.time() - t0
     report(1, worst < 1e-4 and elapsed < 10,
-           f"max rel grad error {worst:.2e} over 50x4 instances in {elapsed:.1f}s")
+           f"max rel grad error {worst:.2e} over 50x5 instances in {elapsed:.1f}s")
 
 
 def test_criterion_2_reduction_identities():

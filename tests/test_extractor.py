@@ -106,6 +106,15 @@ class TestTrainTask0:
         train_task0(e, make_task(rng), head, TrainConfig(epochs_task0=0, batch_size=16, seed=0))
         assert e.snapshot() == snap and np.array_equal(head.W, w)
 
+    def test_negative_label_rejected(self, rng):
+        # a label of -1 would otherwise train the head's last row
+        task = make_task(rng)
+        task.train_labels[0] = -1
+        head = new_classifier(4, 2, seed=0)
+        with pytest.raises(InvalidArgumentError, match="task-0 label -1 is negative"):
+            train_task0(init(ExtractorSpec("identity", 4, 4)), task, head,
+                        TrainConfig(epochs_task0=1, batch_size=16, seed=0))
+
     def test_divergence_names_task_epoch_and_step(self, rng):
         e = init(ExtractorSpec("linear", 4, 4, seed=3))
         head = new_classifier(4, 2, seed=0)

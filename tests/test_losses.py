@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgpfr.classifier import adam_step, new_adam_state, new_classifier
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
@@ -84,6 +86,19 @@ class TestReplayCE:
         clf = make_clf(rng, 3, 4)
         batch = MergedBatch(rng.normal(size=(1, 3)), np.array([3]), np.array([True]))
         with pytest.raises(InvalidArgumentError):
+            replay_ce_loss(batch, clf, 2, LossConfig())
+
+    @pytest.mark.parametrize("labels, pseudo, message", [
+        ([0, -1], [False, False], r"real row label outside \[0, 3\)"),
+        ([0, 3], [False, False], r"real row label outside \[0, 3\)"),
+        ([-1, 0], [True, False], r"pseudo row label outside \[0, 2\)"),
+        ([2, 0], [True, False], r"pseudo row label outside \[0, 2\)"),
+    ])
+    def test_label_outside_the_head(self, rng, labels, pseudo, message):
+        # a label of -1 would otherwise score against the last logit
+        clf = make_clf(rng, 3, 3)
+        batch = MergedBatch(rng.normal(size=(2, 3)), np.array(labels), np.array(pseudo))
+        with pytest.raises(InvalidArgumentError, match=message):
             replay_ce_loss(batch, clf, 2, LossConfig())
 
     def test_gradient_fd(self, rng):
@@ -193,12 +208,19 @@ def fitted_store(rng, counts, dim) -> PrototypeStore:
     return fit_class_statistics(feats, labels)
 
 
+def took_dense_path(store: PrototypeStore) -> bool:
+    """Whether the store's dense covariance block was ever built."""
+    return "covariances" in vars(store)
+
+
 class TestVprFactorPath:
     @pytest.mark.parametrize("counts, dim", [
-        ([2, 3, 2, 4], 12), ([20] * 6, 64), ([1, 2, 5], 11),
-        ([2, 9, 1, 4], 8), ([3, 11, 2], 5)])   # the last two hold classes with n > D
+        ([2, 3, 2, 4], 12), ([20] * 6, 64), ([1, 2, 5], 11),   # root path
+        ([2, 9, 1, 4], 8), ([3, 11, 2], 5),   # dense path; classes with n > D
+        ([1, 3, 2], 6),                       # 2 * r_max == D: root path
+        ([1, 4, 2], 7)])                      # the smallest r_max on the dense path
     def test_matches_densified_store(self, rng, counts, dim):
-        """The stacked roots against the scalar reference, which reads each
+        """Both VPR paths against the scalar reference, which reads each
         class's dense (D, D) covariance FᵀF."""
         store = fitted_store(rng, counts, dim)
         slots = store.roots.reshape(len(counts), store.r_max, dim)
@@ -207,6 +229,7 @@ class TestVprFactorPath:
         clf = make_clf(rng, dim, len(counts) + 2)
         cfg = LossConfig(gamma=0.8)
         got = vpr_loss(store, clf, cfg)
+        assert took_dense_path(store) == (2 * store.r_max > dim)
         assert got.value == pytest.approx(scalar_vpr(store, clf.W, clf.b, gamma=0.8),
                                           rel=1e-12)
         fw, fb = fd_gradients(lambda c: vpr_loss(store, c, cfg), clf)
@@ -275,6 +298,62 @@ class TestPackedRoots:
         pb = generate_pseudo_batch(batch, batch_labels, shuffled)
         assert np.array_equal(pa.features, pb.features)
         assert np.array_equal(pa.labels, pb.labels)
+
+
+class TestStoreIdsOutsideTheHead:
+    @pytest.mark.parametrize("loss", [proto_loss,
+                                      lambda store, clf: vpr_loss(store, clf, LossConfig())])
+    def test_negative_id(self, rng, loss):
+        # a store fitted on label -1 would otherwise read the head's last row
+        store = fit_class_statistics(rng.normal(size=(6, 4)), [-1, -1, -1, 0, 0, 0])
+        with pytest.raises(InvalidArgumentError, match=r"store ids -1\.\.0 are not rows"):
+            loss(store, make_clf(rng, 4, 3))
+
+    @pytest.mark.parametrize("loss", [proto_loss,
+                                      lambda store, clf: vpr_loss(store, clf, LossConfig())])
+    def test_id_past_the_last_row(self, rng, loss):
+        store = fit_class_statistics(rng.normal(size=(6, 4)), [0, 0, 0, 7, 7, 7])
+        with pytest.raises(InvalidArgumentError, match="not rows of a 3-class head"):
+            loss(store, make_clf(rng, 4, 3))
+
+
+def padded(store: PrototypeStore, rows: int) -> PrototypeStore:
+    """The same store with every root slot zero-padded to `rows` rows."""
+    dim = store.prototypes.shape[1]
+    slots = np.zeros((len(store), rows, dim))
+    slots[:, :store.r_max] = store.roots.reshape(len(store), store.r_max, dim)
+    return PrototypeStore(store.ids, store.counts, store.prototypes, slots.reshape(-1, dim))
+
+
+class TestVprPaths:
+    """VPR's root path (2 * r_max <= D) against its dense path (2 * r_max > D)."""
+
+    @given(dim=st.integers(2, 10),
+           counts=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+           gamma=st.sampled_from([0.0, 0.4, 1.0, 3.0]),
+           seed=st.integers(0, 2**16))
+    @example(dim=4, counts=[2], gamma=1.0, seed=0)           # No = 1
+    @example(dim=5, counts=[1, 1, 1], gamma=1.0, seed=1)     # every slot empty
+    @example(dim=8, counts=[1, 4, 2, 3], gamma=0.0, seed=2)  # uneven r_k, gamma = 0
+    @settings(max_examples=80, deadline=None)
+    def test_zero_padding_across_the_rule_changes_nothing(self, dim, counts, gamma, seed):
+        """Padding every slot with zero rows until 2 * r_max > D keeps every
+        covariance, and so the value and both gradients."""
+        rng = np.random.default_rng(seed)
+        counts = [min(n, dim // 2) for n in counts]           # r_k <= D / 2: root side
+        n_classes = len(counts) + 3
+        ids = np.sort(rng.choice(n_classes, size=len(counts), replace=False))
+        feats = rng.normal(size=(sum(counts), dim)) * 2.0
+        store = fit_class_statistics(feats, np.repeat(ids, counts))
+        wide = padded(store, dim)
+        clf = make_clf(rng, dim, n_classes)
+        cfg = LossConfig(gamma=gamma)
+        root, dense = vpr_loss(store, clf, cfg), vpr_loss(wide, clf, cfg)
+        assert not took_dense_path(store) and took_dense_path(wide)
+        assert dense.value == pytest.approx(root.value, rel=1e-12)
+        for got, want in ((dense.grad_W, root.grad_W), (dense.grad_b, root.grad_b)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(initial=0.0))
 
 
 class TestTceLoss:

@@ -71,6 +71,28 @@ def batch_prototypes(features, labels, batch_sizes=None) -> np.ndarray:
     return features - generate_pseudo_batch(features, labels, origin, batch_sizes).features
 
 
+class TestDerivedCovariances:
+    """The (No * D, D) dense covariance block a store derives from its roots."""
+
+    def test_matches_the_roots(self, rng):
+        store = fit_class_statistics(rng.normal(size=(23, 5)), np.repeat([4, 0, 9], [1, 12, 10]))
+        block = store.covariances.reshape(3, 5, 5)
+        assert store.covariances.shape == (3 * 5, 5)
+        assert np.abs(block - dense_covariances(store)).max() < 1e-12
+        assert all(np.array_equal(c, c.T) for c in block)
+        assert block[0].any() and not block[1].any()   # class 4 has one row: zero
+
+    def test_read_only_and_built_once(self, rng):
+        store = random_store(rng, 3, 4)
+        block = store.covariances
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+        assert store.covariances is block
+
+    def test_empty_store(self):
+        assert PrototypeStore().covariances.shape == (0, 0)
+
+
 class TestBatchClassPrototypes:
     """Batch class prototypes, the mean of one label's rows within one batch,
     which pseudo-feature generation groups and translates by."""
