@@ -6,7 +6,8 @@ function of its input, so each task embeds its train set once and its test
 set once: the training batches, the class statistics and the evaluation all
 read those arrays. Every later task expands the head, trains it per batch
 on merged pseudo+real features with the configured losses, and registers
-the new classes' statistics at the end.
+the new classes' statistics at the end. A step computes its logits once,
+and the head gradient of every loss in one product plus VPR's.
 
 Dataset class ids are remapped to head row indices via the schedule's class
 order; all metrics are computed in that row space.
@@ -145,9 +146,11 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
     The train set is embedded once up front. Each epoch gathers its rows in
     batch order and makes all their pseudo rows in one call: per batch, or
     over the whole epoch under the whole-task ablation. Each step slices its
-    rows, merges them and takes one Adam step on the sum of the enabled
-    losses. The backbone and the prototype store are read-only throughout. A
-    non-finite step loss or head raises InvalidStateError.
+    rows, merges them and scores them with one logits product. Replay CE
+    and TCE add their gradients into one dlogits, and one Adam step takes the
+    head gradient `total_loss` makes from it and VPR. The backbone and the
+    prototype store are read-only throughout. A non-finite step loss or head
+    raises InvalidStateError.
     """
     if not state.extractor.frozen:
         raise InvalidStateError("incremental task before task 0 (extractor not frozen)")
@@ -175,12 +178,17 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
         bounds = np.cumsum([0] + sizes)
         for step, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             pb = PseudoBatch(pseudo.features[lo:hi], pseudo.labels[lo:hi]) if lc.enable_P else None
-            components = [replay_ce_loss(merge(pb, feats[lo:hi], y[lo:hi]), state.clf, n_old, lc)]
-            if lc.enable_V:
-                components.append(vpr_loss(state.store, state.clf, lc))
+            batch = merge(pb, feats[lo:hi], y[lo:hi])
+            real = slice(batch.n_pseudo, None)
+            logits = batch.features @ state.clf.W.T + state.clf.b
+            ce, dlogits = replay_ce_loss(batch, logits, n_old, lc)
+            tce, vpr = 0.0, None
             if lc.enable_T:
-                components.append(tce_loss(feats[lo:hi], y[lo:hi], state.clf, task_range))
-            total = total_loss(components)
+                tce, d = tce_loss(logits[real], batch.labels[real], task_range)
+                dlogits[real, task_range[0]:task_range[1]] += d
+            if lc.enable_V:
+                vpr = vpr_loss(state.store, state.clf, lc)
+            total = total_loss(ce + tce, dlogits, batch.features, vpr)
             if not math.isfinite(total.value):
                 raise InvalidStateError(
                     f"task {data.task_index} diverged: loss {total.value} at epoch {epoch}, step {step}")

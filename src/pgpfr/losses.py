@@ -1,5 +1,9 @@
 """Training losses as value-and-gradient functions over the classifier head.
 
+Replay CE and TCE take a step's logits and return their gradient with
+respect to them; `total_loss` turns the summed logit gradient into the head
+gradient with one product and adds VPR's, which reads the head directly.
+
 Four losses:
   * replay cross-entropy over a merged pseudo+real batch, with temperature
     sharpening of pseudo-row predictions restricted to old-class logits;
@@ -56,10 +60,6 @@ class LossValueGrad:
     grad_b: np.ndarray   # (C,)
 
 
-def _zeros_like(clf: IncrementalClassifier) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros_like(clf.W), np.zeros_like(clf.b)
-
-
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -82,49 +82,48 @@ def _check_labels(labels: np.ndarray, n_classes: int, kind: str) -> None:
         raise InvalidArgumentError(f"{kind} label outside [0, {n_classes})")
 
 
-def replay_ce_loss(batch: MergedBatch, clf: IncrementalClassifier, n_old: int,
-                   cfg: LossConfig) -> LossValueGrad:
-    """Cross-entropy over the merged batch.
+def replay_ce_loss(batch: MergedBatch, logits: np.ndarray, n_old: int,
+                   cfg: LossConfig) -> tuple[float, np.ndarray]:
+    """Cross-entropy over the merged batch, from its (n, C) head logits.
 
     Pseudo rows score against the first n_old logits divided by the
-    sharpening temperature; real rows score against all visible logits.
+    sharpening temperature; real rows score against all C. Returns the mean
+    over the n rows and its (n, C) gradient with respect to `logits`.
     """
-    n = batch.n_rows
+    n, n_classes = logits.shape
     if n == 0:
         raise InvalidArgumentError("replay_ce_loss on an empty batch")
-    z = np.asarray(batch.features, dtype=np.float64)
-    labels = np.asarray(batch.labels, dtype=np.int64)
-    mask = np.asarray(batch.pseudo_mask, dtype=bool)
-    real = ~mask
-    yp, yr = labels[mask], labels[real]
+    if n != batch.n_rows:
+        raise InvalidArgumentError(f"{n} logit rows for a batch of {batch.n_rows}")
+    if not 0 <= n_old <= n_classes:
+        raise InvalidArgumentError(f"n_old {n_old} is outside [0, {n_classes}], the head's width")
+    p = batch.n_pseudo
+    yp, yr = batch.labels[:p], batch.labels[p:]
     _check_labels(yp, n_old, "pseudo row")
-    _check_labels(yr, clf.n_classes, "real row")
+    _check_labels(yr, n_classes, "real row")
 
     temp = cfg.temperature_R if cfg.enable_sharpening else 1.0
-    grad_w, grad_b = _zeros_like(clf)
     value = 0.0
-    dlogits = np.zeros((n, clf.n_classes))
-
-    if len(yp):
-        nll, d = _softmax_ce((z[mask] @ clf.W[:n_old].T + clf.b[:n_old]) / temp, yp)
+    dlogits = np.zeros((n, n_classes))
+    if p:
+        nll, d = _softmax_ce(logits[:p, :n_old] / temp, yp)
         value += nll
-        dlogits[np.ix_(mask.nonzero()[0], np.arange(n_old))] = d / temp
-
-    if len(yr):
-        nll, d = _softmax_ce(z[real] @ clf.W.T + clf.b, yr)
+        dlogits[:p, :n_old] = d / temp
+    if p < n:
+        nll, dlogits[p:] = _softmax_ce(logits[p:], yr)
         value += nll
-        dlogits[real] = d
-
     dlogits /= n
-    grad_w += dlogits.T @ z
-    grad_b += dlogits.sum(axis=0)
-    return LossValueGrad(value / n, grad_w, grad_b)
+    return value / n, dlogits
 
 
 def _old_rows(store: PrototypeStore, clf: IncrementalClassifier) -> np.ndarray:
-    """The store's class ids, checked to be rows of the head (they ascend)."""
+    """The store's class ids, checked to be rows of the head (they ascend),
+    and its width against the head's."""
     if len(store) == 0:
         raise InvalidStateError("prototype store is empty")
+    if store.prototypes.shape[1] != clf.dim:
+        raise InvalidArgumentError(
+            f"store features are {store.prototypes.shape[1]}-d, the head's are {clf.dim}-d")
     ids = store.ids
     if ids[0] < 0 or ids[-1] >= clf.n_classes:
         raise InvalidArgumentError(
@@ -142,7 +141,7 @@ def proto_loss(store: PrototypeStore, clf: IncrementalClassifier) -> LossValueGr
     logp = _log_softmax(s)
     value = float(-np.diagonal(logp).mean())
     g = (np.exp(logp) - np.eye(n_old)) / n_old          # dL/ds
-    grad_w, grad_b = _zeros_like(clf)
+    grad_w, grad_b = np.zeros_like(clf.W), np.zeros_like(clf.b)
     grad_w[old_ids] = g.T @ mu
     grad_b[old_ids] = g.sum(axis=0)
     return LossValueGrad(value, grad_w, grad_b)
@@ -199,46 +198,43 @@ def vpr_loss(store: PrototypeStore, clf: IncrementalClassifier,
     # p_k[c] mu_k over k, minus mu_k at c = k
     gw = probs.T @ mu - mu + (2.0 * gamma) * pen
     gb = probs.sum(axis=0) - 1.0
-    grad_w, grad_b = _zeros_like(clf)
+    grad_w, grad_b = np.zeros_like(clf.W), np.zeros_like(clf.b)
     grad_w[old_ids] = gw / n_old
     grad_b[old_ids] = gb / n_old
     return LossValueGrad(value / n_old, grad_w, grad_b)
 
 
-def tce_loss(features, labels, clf: IncrementalClassifier,
-             task_range: tuple[int, int]) -> LossValueGrad:
-    """Cross-entropy with the softmax restricted to the task's class slice."""
+def tce_loss(logits: np.ndarray, labels, task_range: tuple[int, int]) -> tuple[float, np.ndarray]:
+    """Cross-entropy with the softmax restricted to the task's class slice
+    of the real rows' (n, C) logits: the mean over the rows and its (n, hi - lo)
+    gradient with respect to `logits[:, lo:hi]`, the only nonzero part."""
     lo, hi = task_range
-    if not (0 <= lo < hi <= clf.n_classes):
-        raise InvalidArgumentError(f"bad task range {task_range}")
-    z = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2 or z.shape[0] == 0:
+    if logits.ndim != 2 or logits.shape[0] == 0:
         raise InvalidArgumentError("tce_loss requires a non-empty batch")
+    if not (0 <= lo < hi <= logits.shape[1]):
+        raise InvalidArgumentError(f"bad task range {task_range}")
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < lo or labels.max() >= hi:
         raise InvalidArgumentError("label outside the task range")
 
-    n = z.shape[0]
-    nll, d = _softmax_ce(z @ clf.W[lo:hi].T + clf.b[lo:hi], labels - lo)
-    value = float(nll / n)
+    n = logits.shape[0]
+    nll, d = _softmax_ce(logits[:, lo:hi], labels - lo)
     d /= n
-    grad_w, grad_b = _zeros_like(clf)
-    grad_w[lo:hi] = d.T @ z
-    grad_b[lo:hi] = d.sum(axis=0)
+    return float(nll / n), d
+
+
+def total_loss(value: float, dlogits: np.ndarray, features: np.ndarray,
+               vpr: LossValueGrad | None = None) -> LossValueGrad:
+    """The head's loss from `value` and `dlogits`, the summed values and (n, C)
+    gradients of the losses on the logits `features @ W.T + b`, plus VPR's."""
+    c, dim = dlogits.shape[1], features.shape[1]
+    if len(dlogits) != len(features) or vpr is not None and (
+            vpr.grad_W.shape, vpr.grad_b.shape) != ((c, dim), (c,)):
+        raise InvalidArgumentError("loss component gradient shapes disagree")
+    grad_w = dlogits.T @ features
+    grad_b = dlogits.sum(axis=0)
+    if vpr is not None:
+        value += vpr.value
+        grad_w += vpr.grad_W
+        grad_b += vpr.grad_b
     return LossValueGrad(value, grad_w, grad_b)
-
-
-def total_loss(components: list[LossValueGrad]) -> LossValueGrad:
-    """Unweighted sum of the enabled loss components."""
-    if not components:
-        raise InvalidArgumentError("total_loss needs at least one component")
-    shape_w = components[0].grad_W.shape
-    shape_b = components[0].grad_b.shape
-    for c in components[1:]:
-        if c.grad_W.shape != shape_w or c.grad_b.shape != shape_b:
-            raise InvalidArgumentError("loss component gradient shapes disagree")
-    return LossValueGrad(
-        sum(c.value for c in components),
-        sum(c.grad_W for c in components),
-        sum(c.grad_b for c in components),
-    )

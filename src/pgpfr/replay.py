@@ -5,7 +5,8 @@ group, one label's rows within one batch, so that its batch prototype lands
 on the most similar old-class prototype; the old classes are the store's
 `ids` and `prototypes` matrix. One cosine matrix of the two assigns every
 group at once, and one gather translates every row. The head plays no part,
-so one call makes the pseudo rows of every batch of an epoch.
+so one call makes the pseudo rows of every batch of an epoch. `merge` stacks
+a step's pseudo rows over its real rows, for one logits product.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ class PseudoBatch:
 
 @dataclass
 class MergedBatch:
-    features: np.ndarray       # pseudo rows first, then real rows
-    labels: np.ndarray
-    pseudo_mask: np.ndarray    # bool, True exactly on pseudo rows
+    features: np.ndarray   # (n, D): the n_pseudo pseudo rows, then the real rows
+    labels: np.ndarray     # (n,)
+    n_pseudo: int
 
     @property
     def n_rows(self) -> int:
@@ -78,21 +79,14 @@ def generate_pseudo_batch(features, labels, store: PrototypeStore,
 
 
 def merge(pseudo: PseudoBatch | None, real_features, real_labels) -> MergedBatch:
-    """Concatenate pseudo rows (first) with real rows; mask marks the pseudo ones."""
+    """Stack the pseudo rows, if any, over the real rows."""
     real_features = np.asarray(real_features, dtype=np.float64)
     real_labels = np.asarray(real_labels, dtype=np.int64)
     if pseudo is None or pseudo.n_rows == 0:
-        return MergedBatch(real_features.copy(), real_labels.copy(),
-                           np.zeros(real_features.shape[0], dtype=bool))
+        return MergedBatch(real_features, real_labels, 0)
     if pseudo.features.shape[1] != real_features.shape[1]:
         raise InvalidArgumentError(
             f"feature dim mismatch: pseudo {pseudo.features.shape[1]}, "
             f"real {real_features.shape[1]}")
-    n_pseudo = pseudo.n_rows
-    n_real = real_features.shape[0]
-    mask = np.concatenate([np.ones(n_pseudo, dtype=bool), np.zeros(n_real, dtype=bool)])
-    return MergedBatch(
-        np.vstack([pseudo.features, real_features]),
-        np.concatenate([pseudo.labels, real_labels]),
-        mask,
-    )
+    return MergedBatch(np.vstack([pseudo.features, real_features]),
+                       np.concatenate([pseudo.labels, real_labels]), pseudo.n_rows)

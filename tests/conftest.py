@@ -68,8 +68,8 @@ def scalar_softmax_ce(logit_row, label) -> float:
 def scalar_replay_ce(batch, w, b, n_old, temp) -> float:
     """Row-by-row reference of the merged-batch cross-entropy."""
     total = 0.0
-    for row, label, is_pseudo in zip(batch.features, batch.labels, batch.pseudo_mask):
-        if is_pseudo:
+    for i, (row, label) in enumerate(zip(batch.features, batch.labels)):
+        if i < batch.n_pseudo:
             logits = [(sum(w[c][j] * row[j] for j in range(len(row))) + b[c]) / temp
                       for c in range(n_old)]
         else:

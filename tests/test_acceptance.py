@@ -12,13 +12,12 @@ from pgpfr.dataio import (Dataset, load_dataset, save_dataset, split_schedule,
 from pgpfr.engine import TaskSchedule, TrainConfig, run_experiment
 from pgpfr.errors import DatasetFormatError, DatasetValidationError
 from pgpfr.extractor import ExtractorSpec
-from pgpfr.losses import (LossConfig, proto_loss, replay_ce_loss, tce_loss,
-                          vpr_loss)
+from pgpfr.losses import LossConfig, proto_loss, vpr_loss
 from pgpfr.metrics import MetricsRecord, ifm, summarize
 from pgpfr.numerics import covariance
-from pgpfr.replay import MergedBatch, generate_pseudo_batch
+from pgpfr.replay import generate_pseudo_batch
 from conftest import fd_gradients, max_rel_error, random_store
-from test_losses import make_batch, make_clf
+from test_losses import make_batch, make_clf, replay_ce_head, tce_head
 
 # ---- desk-scale benchmark configuration (criterion 5) ----------------------
 # Dataset seed 2 picked so the fine-tuning baseline forgets measurably on
@@ -78,8 +77,9 @@ def test_criterion_1_gradient_fidelity():
         cfg = LossConfig(temperature_R=0.3, gamma=1.0)
 
         batch = make_batch(rng, 3, 3, dim, n_old=n_old, n_classes=n_classes)
-        out = replay_ce_loss(batch, clf, n_old, cfg)
-        fw, fb = fd_gradients(lambda c: replay_ce_loss(batch, c, n_old, cfg), clf)
+        # replay CE and TCE return logit gradients; total_loss makes their head gradient
+        out = replay_ce_head(batch, clf, n_old, cfg)
+        fw, fb = fd_gradients(lambda c: replay_ce_head(batch, c, n_old, cfg), clf)
         worst = max(worst, max_rel_error(out, fw, fb))
 
         store = random_store(rng, n_old, dim)
@@ -100,8 +100,8 @@ def test_criterion_1_gradient_fidelity():
         hi = int(rng.integers(lo + 1, n_classes + 1))
         feats = rng.normal(size=(4, dim))
         labels = rng.integers(lo, hi, size=4)
-        out = tce_loss(feats, labels, clf, (lo, hi))
-        fw, fb = fd_gradients(lambda c: tce_loss(feats, labels, c, (lo, hi)), clf)
+        out = tce_head(feats, labels, clf, (lo, hi))
+        fw, fb = fd_gradients(lambda c: tce_head(feats, labels, c, (lo, hi)), clf)
         worst = max(worst, max_rel_error(out, fw, fb))
     elapsed = time.time() - t0
     report(1, worst < 1e-4 and elapsed < 10,

@@ -249,6 +249,7 @@ def reference_incremental_head(state, data, cfg, task_order_means=False):
     epoch order or, with `task_order_means`, in the train set's order."""
     lc = cfg.loss_cfg
     clf = clf_mod.expand(state.clf.copy(), len(data.class_ids), cfg.seed)
+    lo, hi = clf.task_ranges[-1]
     adam = clf_mod.new_adam_state(clf.params, lr=cfg.lr)
     store, n_old = state.store, len(state.store)
     feats_all = state.extractor.embed_batch(data.train_features)
@@ -260,16 +261,23 @@ def reference_incremental_head(state, data, cfg, task_order_means=False):
         best = cosine_sim(task.prototypes, store.prototypes).argmax(axis=1)
         for b in idx:
             feats, y = feats_all[b], y_all[b]
-            if lc.enable_batch_proto:
+            if not lc.enable_P:
+                pseudo = None
+            elif lc.enable_batch_proto:
                 pseudo = generate_pseudo_batch(feats, y, store)
             else:
                 at = np.searchsorted(task.ids, y)
                 pseudo = PseudoBatch(feats + (store.prototypes[best] - task.prototypes)[at],
                                      store.ids[best][at])
-            total = total_loss([replay_ce_loss(merge(pseudo, feats, y), clf, n_old, lc),
-                                vpr_loss(store, clf, lc),
-                                tce_loss(feats, y, clf, clf.task_ranges[-1])])
-            clf_mod.adam_step(clf, total, adam)
+            batch = merge(pseudo, feats, y)
+            logits = batch.features @ clf.W.T + clf.b
+            value, dlogits = replay_ce_loss(batch, logits, n_old, lc)
+            if lc.enable_T:
+                value_t, d = tce_loss(logits[batch.n_pseudo:], y, (lo, hi))
+                value += value_t
+                dlogits[batch.n_pseudo:, lo:hi] += d
+            vpr = vpr_loss(store, clf, lc) if lc.enable_V else None
+            clf_mod.adam_step(clf, total_loss(value, dlogits, batch.features, vpr), adam)
     return clf
 
 
@@ -277,10 +285,10 @@ class TestEpochPseudoRows:
     """Each epoch makes its pseudo rows in one call; the head must be the one
     a per-step reference trains."""
 
-    @pytest.mark.parametrize("batch_proto", [True, False])
-    @pytest.mark.parametrize("kind", ["identity", "mlp1"])
-    def test_head_matches_per_step_reference(self, kind, batch_proto):
-        ds, _, cfg, _ = small_setup(enable_batch_proto=batch_proto)
+    @staticmethod
+    def trained_and_reference(kind, **loss_kw):
+        """The head one incremental task trains, its reference, the state before."""
+        ds, _, cfg, _ = small_setup(**loss_kw)
         # 3 classes of 30 rows per task: batches of 16 with a short final one
         sched = TaskSchedule(6, 3, 3, 2, class_order_for(ds, 3))
         spec = ExtractorSpec(kind, 6, 6 if kind == "identity" else 4, hidden_dim=8)
@@ -291,11 +299,24 @@ class TestEpochPseudoRows:
         run_incremental_task(state, tasks[1], cfg)
         ref = reference_incremental_head(before, tasks[1], cfg)
         assert np.array_equal(state.clf.W, ref.W) and np.array_equal(state.clf.b, ref.b)
+        return state, before, tasks[1], cfg
+
+    @pytest.mark.parametrize("batch_proto", [True, False])
+    @pytest.mark.parametrize("kind", ["identity", "mlp1"])
+    def test_head_matches_per_step_reference(self, kind, batch_proto):
+        state, before, task, cfg = self.trained_and_reference(
+            kind, enable_batch_proto=batch_proto)
         if not batch_proto:
             # means summed in the train set's order differ only by rounding
-            old = reference_incremental_head(before, tasks[1], cfg, task_order_means=True)
+            old = reference_incremental_head(before, task, cfg, task_order_means=True)
             assert np.abs(state.clf.W - old.W).max() < 1e-10
             assert np.abs(state.clf.b - old.b).max() < 1e-10
+
+    @pytest.mark.parametrize("switch", ["enable_P", "enable_V", "enable_T", "enable_sharpening"])
+    @pytest.mark.parametrize("kind", ["identity", "mlp1"])
+    def test_head_matches_per_step_reference_with_a_switch_off(self, kind, switch):
+        # no pseudo rows, no VPR, no TCE or no sharpening: the step's branches
+        self.trained_and_reference(kind, **{switch: False})
 
 
 class TestDegenerateSchedules:

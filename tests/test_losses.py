@@ -20,8 +20,28 @@ def make_batch(rng, n_pseudo, n_real, dim, n_old, n_classes):
     labels = np.concatenate([
         rng.integers(0, n_old, size=n_pseudo),
         rng.integers(0, n_classes, size=n_real)])
-    mask = np.concatenate([np.ones(n_pseudo, bool), np.zeros(n_real, bool)])
-    return MergedBatch(feats, labels, mask)
+    return MergedBatch(feats, labels, n_pseudo)
+
+
+def head_logits(clf, features):
+    return features @ clf.W.T + clf.b
+
+
+def replay_ce_head(batch, clf, n_old, cfg):
+    """replay_ce_loss of the head's logits, through total_loss: its value and
+    its gradient over W and b."""
+    value, dlogits = replay_ce_loss(batch, head_logits(clf, batch.features), n_old, cfg)
+    return total_loss(value, dlogits, batch.features)
+
+
+def tce_head(feats, labels, clf, task_range):
+    """tce_loss of the head's logits, through total_loss, its task-slice
+    gradient placed in the full (n, C) one."""
+    logits = head_logits(clf, feats)
+    value, d = tce_loss(logits, labels, task_range)
+    dlogits = np.zeros_like(logits)
+    dlogits[:, task_range[0]:task_range[1]] = d
+    return total_loss(value, dlogits, feats)
 
 
 def make_clf(rng, dim, n_classes):
@@ -46,68 +66,73 @@ class TestReplayCE:
     def test_uniform_real_row(self):
         clf = new_classifier(2, 2, seed=0)
         clf.W[:] = 0
-        batch = MergedBatch(np.array([[1.0, 1.0]]), np.array([0]), np.array([False]))
-        out = replay_ce_loss(batch, clf, 0, LossConfig())
-        assert out.value == pytest.approx(math.log(2))
+        batch = MergedBatch(np.array([[1.0, 1.0]]), np.array([0]), 0)
+        value, _ = replay_ce_loss(batch, head_logits(clf, batch.features), 0, LossConfig())
+        assert value == pytest.approx(math.log(2))
 
     def test_single_old_class_pseudo_term_zero(self, rng):
         clf = make_clf(rng, 3, 4)
-        batch = MergedBatch(rng.normal(size=(1, 3)), np.array([0]), np.array([True]))
-        out = replay_ce_loss(batch, clf, 1, LossConfig())
-        assert out.value == pytest.approx(0.0, abs=1e-15)
+        batch = MergedBatch(rng.normal(size=(1, 3)), np.array([0]), 1)
+        value, _ = replay_ce_loss(batch, head_logits(clf, batch.features), 1, LossConfig())
+        assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_scalar_reference(self, rng):
         cfg = LossConfig(temperature_R=0.3)
         for _ in range(5):
             clf = make_clf(rng, 4, 5)
             batch = make_batch(rng, 3, 4, 4, n_old=3, n_classes=5)
-            out = replay_ce_loss(batch, clf, 3, cfg)
+            out = replay_ce_head(batch, clf, 3, cfg)
             want = scalar_replay_ce(batch, clf.W, clf.b, 3, 0.3)
             assert out.value == pytest.approx(want, rel=1e-12)
 
     def test_sharpening_disabled_uses_unit_temperature(self, rng):
         clf = make_clf(rng, 3, 4)
         batch = make_batch(rng, 2, 2, 3, n_old=2, n_classes=4)
-        off = replay_ce_loss(batch, clf, 2, LossConfig(temperature_R=0.3, enable_sharpening=False))
+        off = replay_ce_head(batch, clf, 2, LossConfig(temperature_R=0.3, enable_sharpening=False))
         want = scalar_replay_ce(batch, clf.W, clf.b, 2, 1.0)
         assert off.value == pytest.approx(want, rel=1e-12)
 
     def test_row_permutation_invariance(self, rng):
+        # rows move within the pseudo block and within the real block
         clf = make_clf(rng, 3, 4)
         batch = make_batch(rng, 3, 3, 3, n_old=2, n_classes=4)
-        perm = rng.permutation(6)
-        shuffled = MergedBatch(batch.features[perm], batch.labels[perm],
-                               batch.pseudo_mask[perm])
-        a = replay_ce_loss(batch, clf, 2, LossConfig())
-        b = replay_ce_loss(shuffled, clf, 2, LossConfig())
-        assert a.value == pytest.approx(b.value, rel=1e-12)
+        perm = np.concatenate([rng.permutation(3), 3 + rng.permutation(3)])
+        shuffled = MergedBatch(batch.features[perm], batch.labels[perm], batch.n_pseudo)
+        a = replay_ce_loss(batch, head_logits(clf, batch.features), 2, LossConfig())
+        b = replay_ce_loss(shuffled, head_logits(clf, shuffled.features), 2, LossConfig())
+        assert a[0] == pytest.approx(b[0], rel=1e-12)
+        np.testing.assert_allclose(b[1], a[1][perm], rtol=1e-12)
 
     def test_pseudo_label_out_of_range(self, rng):
         clf = make_clf(rng, 3, 4)
-        batch = MergedBatch(rng.normal(size=(1, 3)), np.array([3]), np.array([True]))
+        batch = MergedBatch(rng.normal(size=(1, 3)), np.array([3]), 1)
         with pytest.raises(InvalidArgumentError):
-            replay_ce_loss(batch, clf, 2, LossConfig())
+            replay_ce_loss(batch, head_logits(clf, batch.features), 2, LossConfig())
 
+    # pseudo: (pseudo rows, old classes), the pseudo rows first
     @pytest.mark.parametrize("labels, pseudo, message", [
-        ([0, -1], [False, False], r"real row label outside \[0, 3\)"),
-        ([0, 3], [False, False], r"real row label outside \[0, 3\)"),
-        ([-1, 0], [True, False], r"pseudo row label outside \[0, 2\)"),
-        ([2, 0], [True, False], r"pseudo row label outside \[0, 2\)"),
+        ([0, -1], (0, 2), r"real row label outside \[0, 3\)"),
+        ([0, 3], (0, 2), r"real row label outside \[0, 3\)"),
+        ([-1, 0], (1, 2), r"pseudo row label outside \[0, 2\)"),
+        ([2, 0], (1, 2), r"pseudo row label outside \[0, 2\)"),
+        # pseudo label 4 is below n_old but past the head's last logit
+        ([4, 0], (1, 5), r"n_old 5 is outside \[0, 3\], the head's width"),
     ])
     def test_label_outside_the_head(self, rng, labels, pseudo, message):
         # a label of -1 would otherwise score against the last logit
         clf = make_clf(rng, 3, 3)
-        batch = MergedBatch(rng.normal(size=(2, 3)), np.array(labels), np.array(pseudo))
+        n_pseudo, n_old = pseudo
+        batch = MergedBatch(rng.normal(size=(2, 3)), np.array(labels), n_pseudo)
         with pytest.raises(InvalidArgumentError, match=message):
-            replay_ce_loss(batch, clf, 2, LossConfig())
+            replay_ce_loss(batch, head_logits(clf, batch.features), n_old, LossConfig())
 
     def test_gradient_fd(self, rng):
         cfg = LossConfig(temperature_R=0.3)
         for _ in range(5):
             clf = make_clf(rng, 4, 4)
             batch = make_batch(rng, 3, 3, 4, n_old=2, n_classes=4)
-            out = replay_ce_loss(batch, clf, 2, cfg)
-            fw, fb = fd_gradients(lambda c: replay_ce_loss(batch, c, 2, cfg), clf)
+            out = replay_ce_head(batch, clf, 2, cfg)
+            fw, fb = fd_gradients(lambda c: replay_ce_head(batch, c, 2, cfg), clf)
             assert max_rel_error(out, fw, fb) < 1e-4
 
 
@@ -316,6 +341,14 @@ class TestStoreIdsOutsideTheHead:
         with pytest.raises(InvalidArgumentError, match="not rows of a 3-class head"):
             loss(store, make_clf(rng, 4, 3))
 
+    @pytest.mark.parametrize("loss", [proto_loss,
+                                      lambda store, clf: vpr_loss(store, clf, LossConfig())])
+    def test_store_narrower_than_the_head(self, rng, loss):
+        # numpy's matmul would otherwise raise a raw ValueError
+        store = fit_class_statistics(rng.normal(size=(6, 4)), [0, 0, 0, 1, 1, 1])
+        with pytest.raises(InvalidArgumentError, match="store features are 4-d, the head's are 5-d"):
+            loss(store, make_clf(rng, 5, 3))
+
 
 def padded(store: PrototypeStore, rows: int) -> PrototypeStore:
     """The same store with every root slot zero-padded to `rows` rows."""
@@ -359,39 +392,42 @@ class TestVprPaths:
 class TestTceLoss:
     def test_single_class_task_zero(self, rng):
         clf = make_clf(rng, 3, 5)
-        out = tce_loss(rng.normal(size=(4, 3)), [4] * 4, clf, (4, 5))
-        assert out.value == 0.0
-        assert not out.grad_W.any()
+        value, d = tce_loss(head_logits(clf, rng.normal(size=(4, 3))), [4] * 4, (4, 5))
+        assert value == 0.0
+        assert d.shape == (4, 1) and not d.any()
 
     def test_uniform_logits_ln_d(self, rng):
         clf = make_clf(rng, 3, 6)
         clf.W[2:6] = clf.W[2]
         clf.b[2:6] = clf.b[2]
-        out = tce_loss(rng.normal(size=(3, 3)), [3, 2, 5], clf, (2, 6))
-        assert out.value == pytest.approx(math.log(4))
+        value, _ = tce_loss(head_logits(clf, rng.normal(size=(3, 3))), [3, 2, 5], (2, 6))
+        assert value == pytest.approx(math.log(4))
 
     def test_grads_outside_range_exactly_zero(self, rng):
         clf = make_clf(rng, 3, 6)
-        out = tce_loss(rng.normal(size=(4, 3)), [4, 5, 4, 5], clf, (4, 6))
+        out = tce_head(rng.normal(size=(4, 3)), [4, 5, 4, 5], clf, (4, 6))
         assert not out.grad_W[:4].any() and not out.grad_b[:4].any()
         assert out.grad_W[4:].any()
 
     def test_label_outside_range(self, rng):
         clf = make_clf(rng, 3, 6)
         with pytest.raises(InvalidArgumentError):
-            tce_loss(rng.normal(size=(1, 3)), [1], clf, (4, 6))
+            tce_loss(head_logits(clf, rng.normal(size=(1, 3))), [1], (4, 6))
 
     def test_gradient_fd(self, rng):
         for _ in range(5):
             clf = make_clf(rng, 4, 5)
             feats = rng.normal(size=(6, 4))
             labels = rng.integers(2, 5, size=6)
-            out = tce_loss(feats, labels, clf, (2, 5))
-            fw, fb = fd_gradients(lambda c: tce_loss(feats, labels, c, (2, 5)), clf)
+            out = tce_head(feats, labels, clf, (2, 5))
+            fw, fb = fd_gradients(lambda c: tce_head(feats, labels, c, (2, 5)), clf)
             assert max_rel_error(out, fw, fb) < 1e-4
 
 
 class TestTotalLoss:
+    """total_loss(value, dlogits, features, vpr): the head gradient
+    dlogits.T @ features and dlogits.sum(0), plus VPR's."""
+
     def _lvg(self, rng, shape_w, shape_b, zero=False):
         if zero:
             return LossValueGrad(0.0, np.zeros(shape_w), np.zeros(shape_b))
@@ -399,21 +435,34 @@ class TestTotalLoss:
                              rng.normal(size=shape_b))
 
     def test_all_zero(self, rng):
-        comps = [self._lvg(rng, (3, 2), (3,), zero=True) for _ in range(3)]
-        out = total_loss(comps)
-        assert out.value == 0.0 and not out.grad_W.any()
+        out = total_loss(0.0, np.zeros((4, 3)), rng.normal(size=(4, 2)),
+                         self._lvg(rng, (3, 2), (3,), zero=True))
+        assert out.value == 0.0 and not out.grad_W.any() and not out.grad_b.any()
 
     def test_single_component_identity(self, rng):
+        feats, dlogits = rng.normal(size=(4, 2)), rng.normal(size=(4, 3))
+        out = total_loss(0.7, dlogits, feats)
+        assert out.value == 0.7
+        assert np.array_equal(out.grad_W, dlogits.T @ feats)
+        assert np.array_equal(out.grad_b, dlogits.sum(axis=0))
         c = self._lvg(rng, (3, 2), (3,))
-        out = total_loss([c])
+        out = total_loss(0.0, np.zeros((4, 3)), feats, c)
         assert out.value == c.value and np.array_equal(out.grad_W, c.grad_W)
+        assert np.array_equal(out.grad_b, c.grad_b)
 
     def test_linearity(self, rng):
-        comps = [self._lvg(rng, (3, 2), (3,)) for _ in range(3)]
-        out = total_loss(comps)
-        assert out.value == pytest.approx(sum(c.value for c in comps))
-        assert np.allclose(out.grad_W, sum(c.grad_W for c in comps))
+        feats = rng.normal(size=(4, 2))
+        d1, d2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        vpr = self._lvg(rng, (3, 2), (3,))
+        out = total_loss(0.5 + 0.25, d1 + d2, feats, vpr)
+        parts = [total_loss(0.5, d1, feats), total_loss(0.25, d2, feats), vpr]
+        assert out.value == pytest.approx(sum(c.value for c in parts))
+        assert np.allclose(out.grad_W, sum(c.grad_W for c in parts))
+        assert np.allclose(out.grad_b, sum(c.grad_b for c in parts))
 
     def test_shape_mismatch(self, rng):
+        feats = rng.normal(size=(4, 2))
         with pytest.raises(InvalidArgumentError):
-            total_loss([self._lvg(rng, (3, 2), (3,)), self._lvg(rng, (4, 2), (4,))])
+            total_loss(0.0, rng.normal(size=(5, 3)), feats)
+        with pytest.raises(InvalidArgumentError):
+            total_loss(0.0, rng.normal(size=(4, 3)), feats, self._lvg(rng, (4, 2), (4,)))

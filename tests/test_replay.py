@@ -211,7 +211,7 @@ class TestMerge:
         feats = np.array([[1.0, 2.0], [3.0, 4.0]])
         m = merge(None, feats, [0, 1])
         assert np.array_equal(m.features, feats)
-        assert not m.pseudo_mask.any()
+        assert m.n_pseudo == 0
 
     def test_counting_and_mask(self, rng):
         store = random_store(rng, 2, 3)
@@ -219,7 +219,7 @@ class TestMerge:
         pb = generate_pseudo_batch(feats, [9] * 5, store)
         m = merge(pb, feats, [9] * 5)
         assert m.n_rows == 10
-        assert m.pseudo_mask[:5].all() and not m.pseudo_mask[5:].any()
+        assert m.n_pseudo == 5
 
     def test_round_trip_split(self, rng):
         store = random_store(rng, 2, 3)
@@ -227,9 +227,10 @@ class TestMerge:
         labels = np.array([7, 7, 8, 8])
         pb = generate_pseudo_batch(feats, labels, store)
         m = merge(pb, feats, labels)
-        assert np.array_equal(m.features[m.pseudo_mask], pb.features)
-        assert np.array_equal(m.features[~m.pseudo_mask], feats)
-        assert np.array_equal(m.labels[~m.pseudo_mask], labels)
+        assert np.array_equal(m.features[:m.n_pseudo], pb.features)
+        assert np.array_equal(m.labels[:m.n_pseudo], pb.labels)
+        assert np.array_equal(m.features[m.n_pseudo:], feats)
+        assert np.array_equal(m.labels[m.n_pseudo:], labels)
 
     def test_dim_mismatch(self, rng):
         store = random_store(rng, 2, 3)
