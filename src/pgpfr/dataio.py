@@ -6,7 +6,12 @@ Binary format (little-endian):
     then per sample, packed: label u32 | split u8 (0 = train, 1 = test) | dim x f32
 
 Features are kept as float32 in memory so a save/load round trip is
-bitwise lossless; numerics upcast to float64 at the point of use.
+bitwise lossless, and every full-size array exists once, in its storage
+dtype: the synthetic generator casts each class block into one float32
+array, and the loader reads fixed-size record blocks straight into the
+float32, int64 and uint8 arrays. Numerics upcast to float64 at the point of
+use: task-0 training per batch, the backbone per row block of its forward
+pass.
 
 All randomness flows through numpy SeedSequence keyed by (seed, purpose
 tag, ...) so identical configs reproduce across platforms.
@@ -15,6 +20,9 @@ tag, ...) so identical configs reproduce across platforms.
 from __future__ import annotations
 
 import csv
+import io
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -32,6 +40,10 @@ _TAG_SYNTH_MEANS = 10
 _TAG_SYNTH_SAMPLES = 11
 _TAG_BATCHES = 12
 _TAG_CLASS_ORDER = 13
+
+HEADER_BYTES = 20
+# bytes of records load_dataset reads per block; a block holds at least one
+READ_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -53,14 +65,21 @@ class Dataset:
         return sorted(int(c) for c in np.unique(self.labels))
 
     def validate(self) -> None:
-        if not np.all(np.isfinite(self.features)):
-            bad = int(np.argwhere(~np.isfinite(self.features).all(axis=1))[0, 0])
+        """Every feature is finite and every class has a train and a test
+        sample; split bytes other than TRAIN and TEST count as neither."""
+        f = self.features
+        # min or max is non-finite when any entry is, and neither needs an (N, D) mask
+        if f.size and not (np.isfinite(f.min()) and np.isfinite(f.max())):
+            bad = int(np.argwhere(~np.isfinite(f).all(axis=1))[0, 0])
             raise DatasetValidationError(f"non-finite feature value at sample {bad}")
-        for cid in self.class_ids:
-            sel = self.split[self.labels == cid]
-            if not (sel == TRAIN).any() or not (sel == TEST).any():
-                raise DatasetValidationError(
-                    f"class {cid} lacks a train or test sample")
+        ids, inv = np.unique(self.labels, return_inverse=True)
+        known = (self.split == TRAIN) | (self.split == TEST)
+        seen = np.zeros((len(ids), 2), dtype=bool)   # columns TRAIN, TEST
+        seen[inv[known], self.split[known]] = True
+        lacking = np.flatnonzero(~seen.all(axis=1))
+        if lacking.size:
+            raise DatasetValidationError(
+                f"class {int(ids[lacking[0]])} lacks a train or test sample")
 
 
 @dataclass
@@ -79,8 +98,15 @@ def _record_dtype(dim: int) -> np.dtype:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write ds in the binary format; labels must fit in u32 and split bytes
-    be TRAIN or TEST, checked before the file is opened."""
+    """Write ds in the binary format. Features must be 2-D with one label and
+    one split byte per row, labels must fit in u32 and split bytes be TRAIN
+    or TEST, all checked before the file is opened."""
+    if ds.features.ndim != 2:
+        raise InvalidArgumentError(f"features must be 2-D, got shape {ds.features.shape}")
+    if not ds.labels.shape == ds.split.shape == (ds.n_samples,):
+        raise InvalidArgumentError(
+            f"features have {ds.n_samples} rows, labels shape {ds.labels.shape} "
+            f"and split shape {ds.split.shape}; each needs one entry per row")
     if ds.labels.size and (ds.labels.min() < 0 or ds.labels.max() >= 2 ** 32):
         raise InvalidArgumentError("labels must lie in [0, 2**32)")
     if not np.isin(ds.split, (TRAIN, TEST)).all():
@@ -96,29 +122,58 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read and validate a binary dataset. The file size is checked against
+    the header before any record is read; records are then read in blocks of
+    about READ_BLOCK_BYTES straight into the returned arrays, checking each
+    block's split bytes. Errors name the sample and its byte offset."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 or raw[:4] != MAGIC:
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            return _read_records(fh, st.st_size)
+        raw = fh.read()   # a pipe has no size to check: read it whole first
+    return _read_records(io.BytesIO(raw), len(raw))
+
+
+def _read_records(fh, size: int) -> Dataset:
+    """Parse the binary stream fh, whose total length is `size` bytes."""
+    head = fh.read(HEADER_BYTES)
+    if len(head) < 4 or head[:4] != MAGIC:
         raise DatasetFormatError("bad magic (expected 'PGFR')", 0)
-    if len(raw) < 20:
-        raise DatasetFormatError("truncated header", len(raw))
-    version, n, dim = struct.unpack_from("<IQI", raw, 4)
+    if len(head) < HEADER_BYTES:
+        raise DatasetFormatError("truncated header", len(head))
+    version, n, dim = struct.unpack_from("<IQI", head, 4)
     if version != VERSION:
         raise DatasetFormatError(f"unsupported version {version}", 4)
     try:
         rec = _record_dtype(dim)
     except ValueError:  # the record's byte size must fit in a C int
         raise DatasetFormatError(f"feature dim {dim} too large for a record", 16) from None
-    expected = 20 + n * rec.itemsize
-    if len(raw) != expected:
+    expected = HEADER_BYTES + n * rec.itemsize
+    if size != expected:
         raise DatasetFormatError(
-            f"truncated or oversized payload (expected {expected} bytes)", len(raw))
-    records = np.frombuffer(raw, dtype=rec, count=n, offset=20)
-    split = records["split"].copy()
-    if not np.isin(split, (TRAIN, TEST)).all():
-        bad = int(np.argwhere(~np.isin(split, (TRAIN, TEST)))[0, 0])
-        raise DatasetFormatError(f"bad split byte at sample {bad}", 20 + bad * rec.itemsize + 4)
-    ds = Dataset(records["features"].copy(), records["label"].astype(np.int64), split)
+            f"truncated or oversized payload (expected {expected} bytes)", size)
+
+    ds = Dataset(np.empty((n, dim), dtype=np.float32), np.empty(n, dtype=np.int64),
+                 np.empty(n, dtype=np.uint8))
+    per_block = max(1, min(n, READ_BLOCK_BYTES // rec.itemsize))
+    buf = np.empty(per_block * rec.itemsize, dtype=np.uint8)
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        raw = buf[:(hi - lo) * rec.itemsize]
+        got = fh.readinto(raw)
+        if got != raw.size:   # the file shrank after the size check
+            raise DatasetFormatError(
+                f"truncated or oversized payload (expected {expected} bytes)",
+                HEADER_BYTES + lo * rec.itemsize + got)
+        block = raw.view(rec)
+        bad = np.flatnonzero((block["split"] != TRAIN) & (block["split"] != TEST))
+        if bad.size:
+            at = lo + int(bad[0])
+            raise DatasetFormatError(f"bad split byte at sample {at}",
+                                     HEADER_BYTES + at * rec.itemsize + 4)
+        ds.features[lo:hi] = block["features"]
+        ds.labels[lo:hi] = block["label"]
+        ds.split[lo:hi] = block["split"]
     ds.validate()
     return ds
 
@@ -227,17 +282,22 @@ def synth_gaussian(classes: int, dim: int, per_class_train: int, per_class_test:
     norms[norms == 0] = 1.0
     means = means / norms * separation
 
-    feats, labels, split = [], [], []
+    n = classes * (per_class_train + per_class_test)
+    ds = Dataset(np.empty((n, dim), dtype=np.float32), np.empty(n, dtype=np.int64),
+                 np.empty(n, dtype=np.uint8))
+    # each class's train block, then its test block, drawn in float64 and
+    # cast into the float32 array one block at a time
+    lo = 0
     for cid in range(classes):
         for split_tag, count in ((TRAIN, per_class_train), (TEST, per_class_test)):
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, _TAG_SYNTH_SAMPLES, cid, split_tag]))
-            feats.append(means[cid] + rng.normal(size=(count, dim)))
-            labels.append(np.full(count, cid, dtype=np.int64))
-            split.append(np.full(count, split_tag, dtype=np.uint8))
-    with np.errstate(over="ignore"):
-        ds = Dataset(np.vstack(feats).astype(np.float32),
-                     np.concatenate(labels), np.concatenate(split))
+            hi = lo + count
+            with np.errstate(over="ignore"):
+                ds.features[lo:hi] = means[cid] + rng.normal(size=(count, dim))
+            ds.labels[lo:hi] = cid
+            ds.split[lo:hi] = split_tag
+            lo = hi
     # min or max is infinite when any entry is, and neither needs an (N, D) mask
     if not (np.isfinite(ds.features.min()) and np.isfinite(ds.features.max())):
         raise InvalidArgumentError(f"separation {separation} overflows the float32 feature range")

@@ -4,10 +4,13 @@ Task 0 trains the backbone and head jointly with plain cross-entropy, then
 freezes the backbone for good. From then on a sample's feature is a fixed
 function of its input, so each task embeds its train set once and its test
 set once: the training batches, the class statistics and the evaluation all
-read those arrays. Every later task expands the head, trains it per batch
-on merged pseudo+real features with the configured losses, and registers
-the new classes' statistics at the end. A step computes its logits once,
-and the head gradient of every loss in one product plus VPR's.
+read those arrays. The data stay float32 until the backbone embeds them,
+one row block at a time (task 0 converts each mini-batch), and each task's
+split is dropped once the task is done. Every later task expands the head,
+trains it per batch on merged pseudo+real features with the configured
+losses, and registers the new classes' statistics at the end. A step
+computes its logits once, and the head gradient of every loss in one
+product plus VPR's.
 
 Dataset class ids are remapped to head row indices via the schedule's class
 order; all metrics are computed in that row space.
@@ -92,10 +95,11 @@ def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndar
     the test set to the pool, record G and L, and register the task's class
     statistics from its embedded train set.
 
-    G, L and the old/new accuracies come from one prediction over the pool;
-    L reads the pool's last block, the current task's test set. The store is
-    built last, so its root block is allocated after the evaluation's
-    temporaries are freed rather than beside them.
+    G, L and the old/new accuracies come from predictions over the pool,
+    made block by block without stacking it; L reads the pool's last block,
+    the current task's test set. The store is built last, so its root block
+    is allocated after the evaluation's temporaries are freed rather than
+    beside them.
     """
     if not (np.isfinite(state.clf.W).all() and np.isfinite(state.clf.b).all()):
         raise InvalidStateError(
@@ -108,7 +112,7 @@ def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndar
     state.test_labels.append(_rows(state, data.test_labels))
 
     y_all = np.concatenate(state.test_labels)
-    preds = clf_mod.predict(state.clf, np.vstack(state.test_features))
+    preds = np.concatenate([clf_mod.predict(state.clf, f) for f in state.test_features])
     n_before = len(y_all) - len(state.test_labels[-1])
     g = accuracy(preds, y_all)
     local = accuracy(preds[n_before:], y_all[n_before:])
@@ -204,7 +208,8 @@ def run_experiment(cfg: TrainConfig, schedule: TaskSchedule, dataset: Dataset,
     """Run the full schedule and return one MetricsRecord per task.
 
     `task_callback(state)`, when given, is invoked after each task; it is
-    how checkpointing and invariant checks hook in.
+    how checkpointing and invariant checks hook in. Each task's split is
+    released once the task is done.
     """
     tasks = split_schedule(dataset, schedule)
     label_map = {int(cid): i for i, cid in enumerate(schedule.class_order)}
@@ -213,11 +218,9 @@ def run_experiment(cfg: TrainConfig, schedule: TaskSchedule, dataset: Dataset,
         clf=clf_mod.new_classifier(extractor_spec.feature_dim, schedule.k, cfg.seed),
         store=PrototypeStore(),
         label_map=label_map)
-    run_task0(state, tasks[0], cfg)
-    if task_callback is not None:
-        task_callback(state)
-    for td in tasks[1:]:
-        run_incremental_task(state, td, cfg)
+    for i in range(len(tasks)):
+        td, tasks[i] = tasks[i], None   # the next task's turn frees this one
+        (run_task0 if i == 0 else run_incremental_task)(state, td, cfg)
         if task_callback is not None:
             task_callback(state)
     return state.metrics

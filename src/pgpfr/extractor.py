@@ -3,6 +3,11 @@
 The backbone is trainable only during the first task; afterwards it is
 frozen and every later task sees the exact same feature space. That
 stability is what keeps stored class statistics valid across tasks.
+
+Inputs stay in their storage dtype (float32 from `dataio`) until they are
+used: task-0 training converts each mini-batch to float64, and
+`Extractor.embed_batch` converts and embeds one block of EMBED_ROWS rows at a
+time into one preallocated float64 output.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ from .losses import _softmax_ce
 
 KINDS = ("identity", "linear", "mlp1")
 INIT_STD = 0.01
+# rows per forward block of embed_batch. The last block takes the tail, so
+# no block is shorter than this: BLAS may round a product of a few rows
+# differently from the same rows inside a taller one.
+EMBED_ROWS = 256
 
 
 @dataclass
@@ -48,14 +57,25 @@ class Extractor:
     frozen: bool = False
 
     def embed_batch(self, x) -> np.ndarray:
-        """Features of the (N, input_dim) batch x. A diverged backbone gives
-        non-finite features without a numpy warning; callers check them."""
-        x = np.asarray(x, dtype=np.float64)
+        """Float64 features of the (N, input_dim) batch x, bitwise equal to
+        one `_forward` over all of x. The identity backbone makes one float64
+        copy; the others run their forward pass per row block (see
+        EMBED_ROWS), so only one block is in float64 at a time. A diverged
+        backbone gives non-finite features without a numpy warning; callers
+        check them."""
+        x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise InvalidArgumentError(
                 f"input must be (N, {self.spec.input_dim}), got {x.shape}")
+        if self.spec.kind == "identity":
+            return np.array(x, dtype=np.float64)
+        n = x.shape[0]
+        out = np.empty((n, self.spec.feature_dim))
+        bounds = [i * EMBED_ROWS for i in range(max(1, n // EMBED_ROWS))] + [n]
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._forward(x)[0]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                out[lo:hi] = self._forward(np.asarray(x[lo:hi], dtype=np.float64))[0]
+        return out
 
     def _forward(self, x: np.ndarray):
         """Features of the (N, input_dim) batch x, plus the hidden activation
@@ -133,7 +153,7 @@ def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg):
 
     if ext.frozen:
         raise InvalidStateError("extractor is frozen; task-0 training is not allowed")
-    x_all = np.asarray(data.train_features, dtype=np.float64)
+    x_all = np.asarray(data.train_features)   # each batch is converted to float64
     y_all = np.asarray(data.train_labels, dtype=np.int64)
     if y_all.min() < 0:
         raise InvalidArgumentError(f"task-0 label {y_all.min()} is negative")
@@ -146,7 +166,8 @@ def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg):
     adam = clf_mod.new_adam_state(params, lr=cfg.lr)
     for epoch in range(cfg.epochs_task0):
         for step, idx in enumerate(batches(data, cfg.batch_size, cfg.seed, epoch)):
-            value, head_grads, ext_grads = _ce_forward_backward(ext, head, x_all[idx], y_all[idx])
+            x = np.asarray(x_all[idx], dtype=np.float64)
+            value, head_grads, ext_grads = _ce_forward_backward(ext, head, x, y_all[idx])
             if not math.isfinite(value):
                 raise InvalidStateError(
                     f"task {data.task_index} diverged: loss {value} at epoch {epoch}, step {step}")

@@ -1,9 +1,13 @@
+import hashlib
+import os
 import struct
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from pgpfr import dataio
 from pgpfr.dataio import (Dataset, batches, class_order_for, load_csv,
                           load_dataset, save_dataset, split_schedule,
                           synth_gaussian)
@@ -83,6 +87,137 @@ class TestSaveLoadRoundTrip:
         save_dataset(ds, p)
         with pytest.raises(DatasetValidationError):
             load_dataset(p)
+
+    @pytest.mark.parametrize("n_feats, n_labels, n_split", [(3, 2, 3), (3, 3, 2), (2, 3, 3)])
+    def test_unequal_row_counts_rejected_before_writing(self, tmp_path, n_feats, n_labels, n_split):
+        ds = Dataset(np.zeros((n_feats, 2), dtype=np.float32), np.zeros(n_labels, dtype=np.int64),
+                     np.zeros(n_split, dtype=np.uint8))
+        p = tmp_path / "short.pgfr"
+        with pytest.raises(InvalidArgumentError, match="one entry per row"):
+            save_dataset(ds, p)
+        assert not p.exists()
+
+    def test_features_not_2d_rejected_before_writing(self, tmp_path):
+        ds = Dataset(np.zeros(3, dtype=np.float32), np.zeros(3, dtype=np.int64),
+                     np.zeros(3, dtype=np.uint8))
+        p = tmp_path / "flat.pgfr"
+        with pytest.raises(InvalidArgumentError, match="features must be 2-D"):
+            save_dataset(ds, p)
+        assert not p.exists()
+
+
+def _record_bytes(dim: int) -> int:
+    return 4 + 1 + 4 * dim   # label u32 | split u8 | dim x f32
+
+
+class TestBlockLoader:
+    """load_dataset reads records in blocks of READ_BLOCK_BYTES; a file of
+    several blocks and a partial tail must load as if read at once."""
+
+    def test_round_trip_longer_than_one_read_block(self, tmp_path):
+        # 1,024-wide records: 255 per 1 MiB block, so 600 records end in a 90-record tail
+        ds = synth_gaussian(3, 1024, 100, 100, 2.0, seed=4)
+        per_block = dataio.READ_BLOCK_BYTES // _record_bytes(1024)
+        assert ds.n_samples > 2 * per_block and ds.n_samples % per_block
+        p = tmp_path / "big.pgfr"
+        save_dataset(ds, p)
+        loaded = load_dataset(p)
+        for a, b in ((loaded.features, ds.features), (loaded.labels, ds.labels),
+                     (loaded.split, ds.split)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("per_block", [1, 4, 7, 24, 25])
+    def test_round_trip_at_small_blocks(self, tmp_path, monkeypatch, per_block):
+        ds = synth_gaussian(4, 3, 4, 2, 2.0, seed=6)   # 24 records
+        monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", per_block * _record_bytes(3))
+        p = tmp_path / "d.pgfr"
+        save_dataset(ds, p)
+        loaded = load_dataset(p)
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(loaded.labels, ds.labels)
+        assert np.array_equal(loaded.split, ds.split)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_loads(self, tmp_path):
+        # a pipe has no size, so it is read whole before its records are parsed
+        ds = synth_gaussian(3, 4, 5, 2, 2.0, seed=2)
+        save_dataset(ds, tmp_path / "d.pgfr")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / "d.pgfr").read_bytes(),))
+        writer.start()
+        try:
+            loaded = load_dataset(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(loaded.labels, ds.labels) and np.array_equal(loaded.split, ds.split)
+
+    def test_empty_file_loads(self, tmp_path):
+        p = tmp_path / "empty.pgfr"
+        p.write_bytes(b"PGFR" + struct.pack("<IQI", 1, 0, 3))
+        ds = load_dataset(p)
+        assert ds.features.shape == (0, 3) and ds.labels.shape == ds.split.shape == (0,)
+
+    def _written(self, tmp_path, monkeypatch):
+        """A 24-record file read 5 records per block, and its bytes."""
+        monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", 5 * _record_bytes(3))
+        p = tmp_path / "d.pgfr"
+        save_dataset(synth_gaussian(4, 3, 4, 2, 2.0, seed=6), p)
+        return p, bytearray(p.read_bytes())
+
+    @pytest.mark.parametrize("sample", [3, 17, 23])
+    def test_bad_split_byte_keeps_its_sample_and_offset(self, tmp_path, monkeypatch, sample):
+        p, raw = self._written(tmp_path, monkeypatch)
+        offset = 20 + sample * _record_bytes(3) + 4
+        raw[offset] = 2
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match=f"bad split byte at sample {sample} ") as exc:
+            load_dataset(p)
+        assert exc.value.offset == offset
+
+    def test_first_bad_split_byte_wins_over_a_nan(self, tmp_path, monkeypatch):
+        # split bytes are checked as each block is read, features after the last
+        p, raw = self._written(tmp_path, monkeypatch)
+        struct.pack_into("<f", raw, 20 + 2 * _record_bytes(3) + 5, float("nan"))
+        raw[20 + 21 * _record_bytes(3) + 4] = 7
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match="bad split byte at sample 21 "):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("sample", [3, 17, 23])
+    def test_nan_feature_keeps_its_sample(self, tmp_path, monkeypatch, sample):
+        p, raw = self._written(tmp_path, monkeypatch)
+        struct.pack_into("<f", raw, 20 + sample * _record_bytes(3) + 5 + 4, float("nan"))
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DatasetValidationError, match=f"at sample {sample}$"):
+            load_dataset(p)
+
+
+class TestValidate:
+    def _ds(self, labels, split):
+        n = len(labels)
+        return Dataset(np.zeros((n, 2), dtype=np.float32), np.array(labels, dtype=np.int64),
+                       np.array(split, dtype=np.uint8))
+
+    def test_names_the_smallest_class_lacking_a_sample(self):
+        # class 7 has no test sample, class 3 no train sample, class 5 has both
+        ds = self._ds([7, 5, 3, 5, 7], [0, 0, 1, 1, 0])
+        with pytest.raises(DatasetValidationError, match="^class 3 lacks a train or test sample$"):
+            ds.validate()
+
+    def test_split_bytes_outside_train_and_test_are_ignored(self):
+        with pytest.raises(DatasetValidationError, match="^class 1 lacks"):
+            self._ds([0, 0, 0, 1, 1], [0, 1, 2, 255, 0]).validate()
+        self._ds([0, 0, 0, 1, 1, 1], [0, 1, 2, 255, 0, 1]).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_its_sample(self, value):
+        ds = self._ds([0, 0, 1, 1], [0, 1, 0, 1])
+        ds.features[2, 1] = value
+        with pytest.raises(DatasetValidationError, match="at sample 2$"):
+            ds.validate()
 
 
 class TestCsvImport:
@@ -233,6 +368,18 @@ class TestSynthGaussian:
         a = synth_gaussian(4, 6, 5, 2, 3.0, seed=9)
         b = synth_gaussian(4, 6, 5, 2, 3.0, seed=9)
         assert a.features.tobytes() == b.features.tobytes()
+
+    def test_bytes_pinned(self):
+        # sha256 of features, labels and split, computed before the generator
+        # wrote its blocks straight into float32
+        ds = synth_gaussian(3, 5, 4, 2, 2.0, seed=1)
+        assert (ds.features.dtype, ds.labels.dtype, ds.split.dtype) == \
+            (np.float32, np.int64, np.uint8)
+        h = hashlib.sha256()
+        for a in (ds.features, ds.labels, ds.split):
+            h.update(a.tobytes())
+        assert h.hexdigest() == \
+            "f56721fe0fcbba9d8cef783c1bee4777f4b605bc91956781add5c1ed2b24d71c"
 
     def test_zero_separation_indistinguishable(self):
         ds = synth_gaussian(4, 8, 50, 20, 0.0, seed=0)

@@ -6,8 +6,8 @@ from pgpfr.classifier import new_classifier
 from pgpfr.dataio import TaskDataset, batches
 from pgpfr.engine import TrainConfig
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
-from pgpfr.extractor import (Extractor, ExtractorSpec, _ce_forward_backward,
-                             init, train_task0)
+from pgpfr.extractor import (EMBED_ROWS, Extractor, ExtractorSpec,
+                             _ce_forward_backward, init, train_task0)
 
 
 def make_task(rng, n_classes=2, dim=4, per_class=40, sep=8.0):
@@ -63,6 +63,35 @@ class TestEmbed:
         e = init(ExtractorSpec("identity", 3, 3))
         with pytest.raises(InvalidArgumentError):
             e.embed_batch([[1, 2]])
+
+    def test_identity_returns_a_float64_copy(self, rng):
+        e = init(ExtractorSpec("identity", 4, 4))
+        x = rng.normal(size=(6, 4)).astype(np.float32)
+        out = e.embed_batch(x)
+        assert out.dtype == np.float64 and np.array_equal(out, x)
+        out[0, 0] = 99.0
+        assert x[0, 0] != 99.0
+
+
+class TestEmbedRowBlocks:
+    """embed_batch runs its forward pass per row block; the result must be
+    the one-shot forward pass over all rows, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("n", [1, EMBED_ROWS - 1, EMBED_ROWS, 2 * EMBED_ROWS - 1,
+                                   2 * EMBED_ROWS, 2 * EMBED_ROWS + 1])
+    def test_bitwise_equal_to_one_shot_forward(self, rng, kind, n):
+        e = init(ExtractorSpec(kind, 48, 16, hidden_dim=64, seed=3))
+        for name, p in e.params.items():   # a trained-looking backbone: most ReLUs pass
+            p[...] = rng.normal(size=p.shape) * (0.1 if name.startswith("W") else 1.0)
+        x = rng.normal(size=(n, 48)).astype(np.float32)
+        got = e.embed_batch(x)
+        assert got.dtype == np.float64 and got.shape == (n, 16)
+        assert got.tobytes() == e._forward(x.astype(np.float64))[0].tobytes()
+
+    def test_empty_batch(self):
+        e = init(ExtractorSpec("mlp1", 4, 3, hidden_dim=5))
+        assert e.embed_batch(np.empty((0, 4), dtype=np.float32)).shape == (0, 3)
 
 
 class TestFreeze:
