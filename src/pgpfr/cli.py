@@ -8,10 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime/validation failure, divergence or a size
 too large to allocate, 2 bad config (unknown key, wrong value type) or flags.
-All randomness comes from seeds in the config/flags, so identical inputs
-produce byte-identical outputs. The PGPFR_OUTPUT_DIR environment variable
-overrides the config's output directory (nothing else is overridable by
-environment).
+Either failure prints one line to stderr. All randomness comes from seeds in
+the config/flags, so identical inputs produce byte-identical outputs. The
+config file and its `--set` overrides are the only inputs of a run; no
+environment variable is read.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .dataio import (Dataset, class_order_for, load_csv, load_dataset,
                      save_dataset, synth_gaussian)
@@ -32,10 +33,6 @@ from .extractor import ExtractorSpec
 from .losses import LossConfig
 from .metrics import record_fields, summarize
 
-OUTPUT_DIR_ENV = "PGPFR_OUTPUT_DIR"
-
-_INT_OR_NULL = (int, type(None))
-
 # The config's keys and expected value types; a nested table is a section.
 # Drives both the unknown-key check and the type check.
 _SCHEMA = {
@@ -43,28 +40,35 @@ _SCHEMA = {
     "output_dir": str,
     "synth": {"classes": int, "dim": int, "per_class_train": int,
               "per_class_test": int, "separation": float, "seed": int},
-    "schedule": {"k": int, "d": int, "n_tasks": int, "class_order_seed": _INT_OR_NULL},
+    "schedule": {"k": int, "d": int, "n_tasks": int, "class_order_seed": int},
     "train": {"epochs_task0": int, "epochs_incremental": int, "batch_size": int,
               "lr": float, "seed": int},
     "losses": {"R": float, "gamma": float, "enable_P": bool, "enable_V": bool,
-               "enable_T": bool, "enable_sharpening": bool, "enable_batch_proto": bool},
-    "extractor": {"kind": str, "input_dim": int, "feature_dim": int,
-                  "hidden_dim": int, "seed": int},
+               "enable_T": bool, "enable_batch_proto": bool},
+    "extractor": {"kind": str, "feature_dim": int, "hidden_dim": int, "seed": int},
 }
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", _INT_OR_NULL: "an integer or null"}
+               str: "a string"}
 
 
-def _type_ok(value, expected) -> bool:
+def _typed(value, expected):
+    """The value as its schema type, or None when it is not one. A number
+    becomes a float here, once, so no later check meets a JSON integer too
+    large for int64 or a float."""
     if isinstance(value, bool):  # JSON true/false is a Python int; never a number here
-        return expected is bool
-    if expected is float:  # JSON NaN and Infinity parse as floats
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, expected)
+        return value if expected is bool else None
+    if expected is float and isinstance(value, (int, float)):
+        try:
+            value = float(value)
+        except OverflowError:
+            return None
+        return value if math.isfinite(value) else None  # JSON NaN and Infinity
+    return value if isinstance(value, expected) else None
 
 
 def _check_section(section: dict, schema: dict, prefix: str = "") -> None:
-    """Reject unknown keys and wrongly typed values, descending into sections."""
+    """Reject unknown keys and wrongly typed values, descending into sections;
+    store each number as a float."""
     unknown = set(section) - set(schema)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {prefix[:-1] or 'config'}")
@@ -74,8 +78,11 @@ def _check_section(section: dict, schema: dict, prefix: str = "") -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{path} must be an object, got {value!r}")
             _check_section(value, expected, path + ".")
-        elif not _type_ok(value, expected):
-            raise ConfigError(f"{path} must be {_TYPE_NAMES[expected]}, got {value!r}")
+        else:
+            typed = _typed(value, expected)
+            if typed is None:
+                raise ConfigError(f"{path} must be {_TYPE_NAMES[expected]}, got {value!r}")
+            section[key] = typed
 
 
 def _require(section: dict, keys: tuple, where: str) -> None:
@@ -89,7 +96,7 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -100,7 +107,7 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
         keys = dotted.split(".")
         try:
             value = json.loads(value)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             pass  # leave it as a string
         node = raw
         for k in keys[:-1]:
@@ -143,11 +150,9 @@ def _build_loss_config(cfg: dict) -> LossConfig:
 
 def _build_extractor_spec(cfg: dict, ds: Dataset) -> ExtractorSpec:
     ex = cfg.get("extractor", {})
-    kind = ex.get("kind", "identity")
-    input_dim = ex.get("input_dim", ds.dim)
-    feature_dim = ex.get("feature_dim", input_dim if kind == "identity" else ds.dim)
     return ExtractorSpec(
-        kind=kind, input_dim=input_dim, feature_dim=feature_dim,
+        kind=ex.get("kind", "identity"), input_dim=ds.dim,
+        feature_dim=ex.get("feature_dim", ds.dim),
         hidden_dim=ex.get("hidden_dim", 0), seed=ex.get("seed", 0))
 
 
@@ -179,18 +184,19 @@ def cmd_run(config_path: str, overrides: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # an overflow in training is reported by the step-loss, head and feature
+    # checks as "task N diverged"; numpy's warnings would only repeat it
     try:
-        ds = _build_dataset(cfg)
-        sched_cfg = cfg["schedule"]
-        order = class_order_for(ds, sched_cfg.get("class_order_seed"))
-        schedule = TaskSchedule(
-            total_classes=len(order), k=sched_cfg["k"], d=sched_cfg["d"],
-            n_tasks=sched_cfg["n_tasks"], class_order=order)
-        train_cfg = TrainConfig(**cfg["train"], loss_cfg=_build_loss_config(cfg))
-        spec = _build_extractor_spec(cfg, ds)
-        records = run_experiment(train_cfg, schedule, ds, spec)
-        out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg["output_dir"]))
-        write_outputs(records, out_dir)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ds = _build_dataset(cfg)
+            sched_cfg = cfg["schedule"]
+            order = class_order_for(ds, sched_cfg.get("class_order_seed"))
+            schedule = TaskSchedule(
+                total_classes=len(order), k=sched_cfg["k"], d=sched_cfg["d"],
+                n_tasks=sched_cfg["n_tasks"], class_order=order)
+            train_cfg = TrainConfig(**cfg["train"], loss_cfg=_build_loss_config(cfg))
+            records = run_experiment(train_cfg, schedule, ds, _build_extractor_spec(cfg, ds))
+        write_outputs(records, Path(cfg["output_dir"]))
     except (InvalidArgumentError, InvalidStateError, DatasetFormatError,
             DatasetValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

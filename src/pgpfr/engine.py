@@ -211,6 +211,10 @@ def run_experiment(cfg: TrainConfig, schedule: TaskSchedule, dataset: Dataset,
     how checkpointing and invariant checks hook in. Each task's split is
     released once the task is done.
     """
+    if extractor_spec.input_dim != dataset.dim:
+        raise InvalidArgumentError(
+            f"extractor input_dim {extractor_spec.input_dim} does not match the "
+            f"dataset's {dataset.dim}-d features")
     tasks = split_schedule(dataset, schedule)
     label_map = {int(cid): i for i, cid in enumerate(schedule.class_order)}
     state = ExperimentState(

@@ -5,8 +5,9 @@ respect to them; `total_loss` turns the summed logit gradient into the head
 gradient with one product and adds VPR's, which reads the head directly.
 
 Four losses:
-  * replay cross-entropy over a merged pseudo+real batch, with temperature
-    sharpening of pseudo-row predictions restricted to old-class logits;
+  * replay cross-entropy over a merged pseudo+real batch, with the
+    pseudo rows' old-class logits divided by the temperature R (R < 1
+    sharpens their predictions; R = 1 is no sharpening);
   * prototype replay (old-class prototypes classified by their own rows);
   * variational prototype replay, which adds a covariance-weighted quadratic
     penalty to each competing denominator term;
@@ -38,12 +39,11 @@ from .replay import MergedBatch
 
 @dataclass
 class LossConfig:
-    temperature_R: float = 0.3
+    temperature_R: float = 0.3     # pseudo-row logit temperature; 1 is no sharpening
     gamma: float = 1.0
     enable_P: bool = True          # pseudo-feature generation (replay)
     enable_V: bool = True          # variational prototype replay loss
     enable_T: bool = True          # truncated cross-entropy loss
-    enable_sharpening: bool = True # temperature on pseudo-row predictions
     enable_batch_proto: bool = True  # batch prototypes vs whole-task prototypes
 
     def __post_init__(self):
@@ -102,7 +102,7 @@ def replay_ce_loss(batch: MergedBatch, logits: np.ndarray, n_old: int,
     _check_labels(yp, n_old, "pseudo row")
     _check_labels(yr, n_classes, "real row")
 
-    temp = cfg.temperature_R if cfg.enable_sharpening else 1.0
+    temp = cfg.temperature_R
     value = 0.0
     dlogits = np.zeros((n, n_classes))
     if p:

@@ -1,15 +1,22 @@
+import functools
 import json
 import os
 import struct
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
-import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pgpfr import cli
 from pgpfr.cli import main
+from pgpfr.dataio import save_dataset, synth_gaussian
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # over 2**47 bytes (the user address space), so numpy's allocation fails at
@@ -94,19 +101,54 @@ class TestRun:
         ("losses.gamma=NaN", "losses.gamma must be a number, got nan"),
         ("losses.enable_V=1", "losses.enable_V must be true or false, got 1"),
         ("schedule=3", "schedule must be an object, got 3"),
+        ("schedule.class_order_seed=null",
+         "schedule.class_order_seed must be an integer, got None"),
+        (f"train.lr={10 ** 400}", f"train.lr must be a number, got {10 ** 400}"),
+        # keys that only restated another setting are gone
+        ("extractor.input_dim=3", "unknown key(s) ['input_dim'] in extractor"),
+        ("losses.enable_sharpening=false", "unknown key(s) ['enable_sharpening'] in losses"),
     ])
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, override, message):
         assert main(["run", str(write_config(tmp_path)), "--set", override]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    def test_divergence_exits_1_without_summary(self, tmp_path, capsys):
-        with np.errstate(all="ignore"):
-            code = main(["run", str(write_config(tmp_path)), "--set", "train.lr=1e300"])
-        assert code == 1
+    def test_number_is_stored_as_a_float(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path), ["synth.separation=18446744073709551616",
+                                                       "train.lr=1"])
+        assert cfg["synth"]["separation"] == 2.0 ** 64 and cfg["train"]["lr"] == 1.0
+        assert type(cfg["synth"]["separation"]) is float and type(cfg["train"]["lr"]) is float
+
+    @pytest.mark.parametrize("where", ["file", "override"])
+    @pytest.mark.parametrize("text", ["9" * 5000, "[" * 100000])
+    def test_too_many_digits_or_too_deep_exits_2(self, tmp_path, capsys, where, text):
+        cfg = write_config(tmp_path)
+        if where == "file":
+            cfg.write_text(cfg.read_text()[:-1] + f', "x": {text}}}')
+            argv = ["run", str(cfg)]
+        else:
+            argv = ["run", str(cfg), "--set", f"train.lr={text}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @staticmethod
+    def assert_diverges_in_one_line(tmp_path, capsys, override):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(write_config(tmp_path)), "--set", override])
+        assert code == 1 and not caught, [str(w.message) for w in caught]
         err = capsys.readouterr().err
         assert err.startswith("error: task ") and "diverged" in err and err.count("\n") == 1
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_divergence_exits_1_without_summary(self, tmp_path, capsys):
+        self.assert_diverges_in_one_line(tmp_path, capsys, "train.lr=1e300")
+
+    @pytest.mark.parametrize("override", [
+        "train.lr=1e308", "losses.gamma=1e308", "losses.R=1e-320"])
+    def test_overflow_diverges_in_one_line_without_a_warning(self, tmp_path, capsys, override):
+        self.assert_diverges_in_one_line(tmp_path, capsys, override)
 
     @pytest.mark.parametrize("n_tasks", [1, 3])
     def test_diverged_backbone_exits_1_naming_task_0(self, tmp_path, n_tasks):
@@ -223,13 +265,6 @@ class TestRun:
         code = main(["run", str(cfg), "--set", f"output_dir={out2}"])
         assert code == 0 and (out2 / "summary.csv").exists()
 
-    def test_env_output_dir_override(self, tmp_path, capsys, monkeypatch):
-        cfg = write_config(tmp_path)
-        env_out = tmp_path / "envout"
-        monkeypatch.setenv("PGPFR_OUTPUT_DIR", str(env_out))
-        assert main(["run", str(cfg)]) == 0
-        assert (env_out / "summary.csv").exists()
-
     def test_input_config_not_mutated(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         before = cfg.read_bytes()
@@ -315,3 +350,100 @@ class TestInspect:
         monkeypatch.setattr(cli, "load_dataset", refuse)
         assert main(["inspect", str(tmp_path / "d.pgfr")]) == 1
         assert capsys.readouterr().err == "error: Unable to allocate 1.00 PiB\n"
+
+
+# `--set` values the fuzz draws from. Size and loop keys draw counts of at
+# most 6 (epochs at most 2) instead of 2**64, so no case allocates much or
+# loops for long; the removed keys and an unknown one are drawn too.
+FUZZ_POOL = [0, -1, 2 ** 64, 1e-320, 1e308, True, None, [], "x", "mlp1", "linear"]
+SIZE_KEYS = {"synth.classes", "synth.dim", "synth.per_class_train", "synth.per_class_test",
+             "schedule.k", "schedule.d", "schedule.n_tasks", "train.batch_size",
+             "extractor.feature_dim", "extractor.hidden_dim"}
+EPOCH_KEYS = {"train.epochs_task0", "train.epochs_incremental"}
+FUZZ_KEYS = sorted(
+    [f"{sec}.{key}" for sec, keys in cli._SCHEMA.items() if isinstance(keys, dict)
+     for key in keys]
+    + ["dataset", "output_dir", "schedule", "extractor.input_dim",
+       "losses.enable_sharpening", "bogus.key"])
+FUZZ_CONFIG = {
+    "synth": {"classes": 4, "dim": 3, "per_class_train": 6, "per_class_test": 2,
+              "separation": 8.0, "seed": 1},
+    "schedule": {"k": 2, "d": 1, "n_tasks": 3},
+    "train": {"epochs_task0": 1, "epochs_incremental": 1, "batch_size": 4,
+              "lr": 0.01, "seed": 0},
+    "output_dir": "out",
+}
+
+
+def _set_value(key: str) -> st.SearchStrategy:
+    if key in SIZE_KEYS or key in EPOCH_KEYS:
+        counts = range(3) if key in EPOCH_KEYS else range(1, 7)
+        pool = [v for v in FUZZ_POOL if v != 2 ** 64] + list(counts)
+    else:
+        pool = FUZZ_POOL
+    return st.sampled_from(pool).map(
+        lambda v: f"{key}={v if isinstance(v, str) else json.dumps(v)}")
+
+
+@functools.cache
+def fuzz_pgfr() -> bytes:
+    """A valid 4-class, 3-d dataset file, made once."""
+    with TemporaryDirectory() as d:
+        save_dataset(synth_gaussian(4, 3, 6, 2, 8.0, seed=1), Path(d) / "d.pgfr")
+        return (Path(d) / "d.pgfr").read_bytes()
+
+
+class TestFuzz:
+    """`main` on mutated configs, corrupted files and synth flags: it exits
+    0, 1 or 2, prints one stderr line on a failure, and neither raises nor
+    warns. Each case runs in a fresh working directory."""
+
+    @staticmethod
+    def call(argv, files=()):
+        out, err = StringIO(), StringIO()
+        cwd = os.getcwd()
+        with TemporaryDirectory() as d, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            os.chdir(d)
+            try:
+                for name, data in files:
+                    Path(name).write_bytes(data)
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        event(f"{argv[0]} exits {code}")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(FUZZ_KEYS).flatmap(_set_value), max_size=3))
+    def test_mutated_config(self, overrides):
+        self.call(["run", "c.json", *[a for o in overrides for a in ("--set", o)]],
+                  [("c.json", json.dumps(FUZZ_CONFIG).encode())])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), max_size=3),
+           st.none() | st.integers(min_value=0))
+    def test_corrupted_file(self, flips, cut):
+        data = bytearray(fuzz_pgfr())
+        for at, mask in flips:
+            data[at % len(data)] ^= mask
+        data = bytes(data if cut is None else data[:cut % (len(data) + 1)])
+        cfg = dict(FUZZ_CONFIG, dataset="d.pgfr")
+        del cfg["synth"]
+        files = [("d.pgfr", data), ("c.json", json.dumps(cfg).encode())]
+        self.call(["inspect", "d.pgfr"], files)
+        self.call(["run", "c.json"], files)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([-1, 0, 1, 6]), st.sampled_from([-1, 0, 1, 6]),
+           st.sampled_from([-1, 0, 1, 6]), st.sampled_from([-1, 0, 1, 6]),
+           st.sampled_from([0.0, -1.0, 2.5, 1e-320, 1e308, 1e39, float("nan"), float("inf")]),
+           st.sampled_from([0, -1, 3, 2 ** 64]))
+    def test_synth_flags(self, classes, dim, per_train, per_test, separation, seed):
+        self.call(["synth", "--classes", str(classes), "--dim", str(dim),
+                   "--per-class-train", str(per_train), "--per-class-test", str(per_test),
+                   "--separation", str(separation), "--seed", str(seed), "--out", "d.pgfr"])

