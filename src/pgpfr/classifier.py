@@ -2,6 +2,8 @@
 
 The head holds one weight row and bias per class. Classes arrive in
 contiguous task ranges; `expand` appends rows without touching existing ones.
+Adam uses the fixed constants BETA1, BETA2 and EPS; only its learning rate
+is set per optimizer.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 INIT_STD = 0.01
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and epsilon (Kingma & Ba)
 
 
 @dataclass
@@ -34,9 +37,6 @@ class IncrementalClassifier:
     def params(self) -> dict[str, np.ndarray]:
         """The trainable arrays by name; updating them in place updates the head."""
         return {"W": self.W, "b": self.b}
-
-    def copy(self) -> "IncrementalClassifier":
-        return IncrementalClassifier(self.W.copy(), self.b.copy(), list(self.task_ranges))
 
 
 def new_classifier(dim: int, k: int, seed: int) -> IncrementalClassifier:
@@ -81,8 +81,8 @@ def predict(clf: IncrementalClassifier, features) -> np.ndarray:
 class AdamState:
     """Adam moments per named parameter, plus the step count they share.
 
-    `m` and `v` hold the raw exponentially weighted sums m <- beta1*m + g and
-    v <- beta2*v + g*g, without the (1 - beta) factors. Each update folds
+    `m` and `v` hold the raw exponentially weighted sums m <- BETA1*m + g and
+    v <- BETA2*v + g*g, without the (1 - beta) factors. Each update folds
     those factors and both bias corrections into two scalars (Kingma & Ba,
     ICLR 2015, section 2), a step size alpha_t and an epsilon eps_t:
     theta -= alpha_t * m / (sqrt(v) + eps_t), which equals the textbook
@@ -92,24 +92,21 @@ class AdamState:
     v: dict[str, np.ndarray]
     step_count: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """One in-place Adam step on every named parameter, with one
         temporary array per parameter."""
         self.step_count += 1
-        t, beta1, beta2 = self.step_count, self.beta1, self.beta2
-        v_scale = math.sqrt(1 - beta2 ** t) / math.sqrt(1 - beta2)  # sqrt(v_raw / v_hat)
-        alpha_t = self.lr * (1 - beta1) / (1 - beta1 ** t) * v_scale
-        eps_t = self.eps * v_scale
+        t = self.step_count
+        v_scale = math.sqrt(1 - BETA2 ** t) / math.sqrt(1 - BETA2)  # sqrt(v_raw / v_hat)
+        alpha_t = self.lr * (1 - BETA1) / (1 - BETA1 ** t) * v_scale
+        eps_t = EPS * v_scale
         for name, grad in grads.items():
             param, m, v = params[name], self.m[name], self.v[name]
-            m *= beta1
+            m *= BETA1
             m += grad
             s = np.multiply(grad, grad, out=np.empty_like(v))  # an array even when 0-d
-            v *= beta2
+            v *= BETA2
             v += s
             np.sqrt(v, out=s)
             s += eps_t
@@ -126,7 +123,7 @@ def new_adam_state(params: dict[str, np.ndarray], lr: float = 0.001) -> AdamStat
                      v={k: np.zeros_like(p) for k, p in params.items()}, lr=lr)
 
 
-def adam_step(clf: IncrementalClassifier, grads, state: AdamState):
+def adam_step(clf: IncrementalClassifier, grads, state: AdamState) -> None:
     """Apply one Adam update to (W, b) from a LossValueGrad-like object."""
     grad_w = np.asarray(grads.grad_W, dtype=np.float64)
     grad_b = np.asarray(grads.grad_b, dtype=np.float64)
@@ -135,4 +132,3 @@ def adam_step(clf: IncrementalClassifier, grads, state: AdamState):
             f"gradient shapes {grad_w.shape}/{grad_b.shape} do not match "
             f"classifier {clf.W.shape}/{clf.b.shape}")
     state.update(clf.params, {"W": grad_w, "b": grad_b})
-    return clf, state

@@ -141,19 +141,9 @@ def _build_dataset(cfg: dict) -> Dataset:
         seed=s.get("seed", 0))
 
 
-def _build_loss_config(cfg: dict) -> LossConfig:
-    ls = dict(cfg.get("losses", {}))
-    if "R" in ls:
-        ls["temperature_R"] = ls.pop("R")
-    return LossConfig(**ls)
-
-
 def _build_extractor_spec(cfg: dict, ds: Dataset) -> ExtractorSpec:
-    ex = cfg.get("extractor", {})
-    return ExtractorSpec(
-        kind=ex.get("kind", "identity"), input_dim=ds.dim,
-        feature_dim=ex.get("feature_dim", ds.dim),
-        hidden_dim=ex.get("hidden_dim", 0), seed=ex.get("seed", 0))
+    ex = {"kind": "identity", "feature_dim": ds.dim, **cfg.get("extractor", {})}
+    return ExtractorSpec(input_dim=ds.dim, **ex)
 
 
 def _fmt(v: float) -> str:
@@ -194,7 +184,7 @@ def cmd_run(config_path: str, overrides: list[str] | None = None) -> int:
             schedule = TaskSchedule(
                 total_classes=len(order), k=sched_cfg["k"], d=sched_cfg["d"],
                 n_tasks=sched_cfg["n_tasks"], class_order=order)
-            train_cfg = TrainConfig(**cfg["train"], loss_cfg=_build_loss_config(cfg))
+            train_cfg = TrainConfig(**cfg["train"], loss_cfg=LossConfig(**cfg.get("losses", {})))
             records = run_experiment(train_cfg, schedule, ds, _build_extractor_spec(cfg, ds))
         write_outputs(records, Path(cfg["output_dir"]))
     except (InvalidArgumentError, InvalidStateError, DatasetFormatError,

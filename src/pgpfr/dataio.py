@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (DatasetFormatError, DatasetValidationError,
                      InvalidArgumentError, InvalidStateError)
+from .numerics import check_addressable
 
 MAGIC = b"PGFR"
 VERSION = 1
@@ -276,13 +277,14 @@ def synth_gaussian(classes: int, dim: int, per_class_train: int, per_class_test:
     if seed < 0:
         raise InvalidArgumentError(f"synth seed must be >= 0, got {seed}")
 
+    n = classes * (per_class_train + per_class_test)
+    check_addressable((n, dim))   # bounds every array below, the float64 draws too
     mean_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_SYNTH_MEANS]))
     means = mean_rng.normal(size=(classes, dim))
     norms = np.linalg.norm(means, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     means = means / norms * separation
 
-    n = classes * (per_class_train + per_class_test)
     ds = Dataset(np.empty((n, dim), dtype=np.float32), np.empty(n, dtype=np.int64),
                  np.empty(n, dtype=np.uint8))
     # each class's train block, then its test block, drawn in float64 and

@@ -82,7 +82,6 @@ class ExperimentState:
     # features per task, and the matching head row labels
     test_features: list[np.ndarray] = field(default_factory=list)
     test_labels: list[np.ndarray] = field(default_factory=list)
-    task0_classes: int = 0
 
 
 def _rows(state: ExperimentState, labels) -> np.ndarray:
@@ -116,7 +115,7 @@ def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndar
     n_before = len(y_all) - len(state.test_labels[-1])
     g = accuracy(preds, y_all)
     local = accuracy(preds[n_before:], y_all[n_before:])
-    old_sel = y_all < state.task0_classes
+    old_sel = y_all < state.clf.task_ranges[0][1]
     old_acc = accuracy(preds[old_sel], y_all[old_sel])
     new_sel = ~old_sel
     new_acc = accuracy(preds[new_sel], y_all[new_sel]) if new_sel.any() else float("nan")
@@ -126,7 +125,7 @@ def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndar
         ifm=ifm(local, g), old_acc=old_acc, new_acc=new_acc))
 
 
-def run_task0(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> ExperimentState:
+def run_task0(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> None:
     """Joint backbone+head training, then freeze, evaluate, fit statistics."""
     if state.extractor.frozen:
         raise InvalidStateError("task 0 already completed (extractor is frozen)")
@@ -138,13 +137,10 @@ def run_task0(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> Ex
     ext_mod.train_task0(state.extractor, replace(data, task_index=0, train_labels=rows),
                         state.clf, cfg)
     state.extractor.freeze()
-    state.task0_classes = len(data.class_ids)
     _finish_task(state, data, state.extractor.embed_batch(data.train_features), rows)
-    return state
 
 
-def run_incremental_task(state: ExperimentState, data: TaskDataset,
-                         cfg: TrainConfig) -> ExperimentState:
+def run_incremental_task(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> None:
     """Expand the head and retrain it on one incremental task.
 
     The train set is embedded once up front. Each epoch gathers its rows in
@@ -199,7 +195,6 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset,
             clf_mod.adam_step(state.clf, total, adam)
 
     _finish_task(state, data, feats_all, y_all)
-    return state
 
 
 def run_experiment(cfg: TrainConfig, schedule: TaskSchedule, dataset: Dataset,

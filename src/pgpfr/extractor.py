@@ -20,6 +20,7 @@ import numpy as np
 from . import classifier as clf_mod
 from .errors import InvalidArgumentError, InvalidStateError
 from .losses import _softmax_ce
+from .numerics import check_addressable
 
 KINDS = ("identity", "linear", "mlp1")
 INIT_STD = 0.01
@@ -106,9 +107,11 @@ def init(spec: ExtractorSpec) -> Extractor:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))
     params: dict[str, np.ndarray] = {}
     if spec.kind == "linear":
+        check_addressable((spec.feature_dim, spec.input_dim))
         params["W"] = rng.normal(0.0, INIT_STD, size=(spec.feature_dim, spec.input_dim))
         params["b"] = np.zeros(spec.feature_dim)
     elif spec.kind == "mlp1":
+        check_addressable((spec.hidden_dim, spec.input_dim), (spec.feature_dim, spec.hidden_dim))
         params["W1"] = rng.normal(0.0, INIT_STD, size=(spec.hidden_dim, spec.input_dim))
         params["b1"] = np.zeros(spec.hidden_dim)
         params["W2"] = rng.normal(0.0, INIT_STD, size=(spec.feature_dim, spec.hidden_dim))
@@ -142,7 +145,7 @@ def _ce_forward_backward(ext: Extractor, head: clf_mod.IncrementalClassifier,
     return value, head_grads, ext_grads
 
 
-def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg):
+def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg) -> None:
     """Jointly train backbone and head with plain cross-entropy via Adam.
 
     `data` is a TaskDataset whose train labels must already be row indices
@@ -174,4 +177,3 @@ def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg):
             grads = {"head." + k: g for k, g in head_grads.items()}
             grads.update({"backbone." + k: g for k, g in ext_grads.items()})
             adam.update(params, grads)
-    return ext, head

@@ -39,7 +39,7 @@ from .replay import MergedBatch
 
 @dataclass
 class LossConfig:
-    temperature_R: float = 0.3     # pseudo-row logit temperature; 1 is no sharpening
+    R: float = 0.3                 # pseudo-row logit temperature; 1 is no sharpening
     gamma: float = 1.0
     enable_P: bool = True          # pseudo-feature generation (replay)
     enable_V: bool = True          # variational prototype replay loss
@@ -47,8 +47,8 @@ class LossConfig:
     enable_batch_proto: bool = True  # batch prototypes vs whole-task prototypes
 
     def __post_init__(self):
-        if not self.temperature_R > 0:
-            raise InvalidArgumentError(f"temperature must be positive, got {self.temperature_R}")
+        if not self.R > 0:
+            raise InvalidArgumentError(f"temperature must be positive, got {self.R}")
         if not self.gamma >= 0:
             raise InvalidArgumentError(f"gamma must be >= 0, got {self.gamma}")
 
@@ -102,7 +102,7 @@ def replay_ce_loss(batch: MergedBatch, logits: np.ndarray, n_old: int,
     _check_labels(yp, n_old, "pseudo row")
     _check_labels(yr, n_classes, "real row")
 
-    temp = cfg.temperature_R
+    temp = cfg.R
     value = 0.0
     dlogits = np.zeros((n, n_classes))
     if p:

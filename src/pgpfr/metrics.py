@@ -53,11 +53,7 @@ def summarize(records: list[MetricsRecord]) -> dict:
     mean_g = sum(r.global_acc for r in records) / len(records)
     incremental = [r for r in records if r.task_index > 0]
     mean_ifm = sum(r.ifm for r in incremental) / len(incremental) if incremental else None
-    return {
-        "mean_global_acc": mean_g,
-        "mean_ifm": mean_ifm,
-        "records": records,
-    }
+    return {"mean_global_acc": mean_g, "mean_ifm": mean_ifm}
 
 
 def record_fields(r: MetricsRecord) -> dict:

@@ -2,10 +2,13 @@
 
 All arithmetic is float64. Functions are pure and accept anything
 numpy can coerce to an array. cosine_sim scores every row of one matrix
-against every row of another in one call.
+against every row of another in one call. check_addressable rejects a shape
+before any array of it is made.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +36,16 @@ def cosine_sim(u, v) -> np.ndarray:
     dots = np.einsum("ij,kj->ik", u, v)
     s = np.divide(dots, np.outer(nu, nv), out=np.zeros(nonzero.shape), where=nonzero)
     return np.clip(s, -1.0, 1.0)
+
+
+def check_addressable(*shapes) -> None:
+    """Raise MemoryError, as numpy does for an array larger than memory, when
+    a float64 array of one of the shapes would hold more bytes than numpy can
+    address; numpy itself raises a ValueError for such a shape."""
+    for shape in shapes:
+        if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+            raise MemoryError(f"Unable to allocate an array of shape {shape}: "
+                              "more bytes than numpy can address")
 
 
 def covariance(m) -> np.ndarray:

@@ -5,7 +5,7 @@ accumulate in a PrototypeStore that never changes: `register` builds a new
 store from the old one plus the task's classes.
 
 A store is its packed arrays, No classes in ascending class id:
-  * `ids` (No,), the class ids, and `counts` (No,), their sample counts;
+  * `ids` (No,), the class ids;
   * `prototypes` (No, D), the class means;
   * `roots` (No * r_max, D), one zero-padded block of covariance roots.
 
@@ -33,27 +33,26 @@ from .errors import InvalidArgumentError, InvalidStateError
 
 
 class PrototypeStore:
-    """Class ids, counts, prototypes and covariance roots, packed as the
-    module docstring describes. The store takes its arrays over and makes
-    them read-only; it never changes after it is built."""
+    """Class ids, prototypes and covariance roots, packed as the module
+    docstring describes. The store takes its arrays over and makes them
+    read-only; it never changes after it is built."""
 
-    def __init__(self, ids=(), counts=(), prototypes=None, roots=None):
+    def __init__(self, ids=(), prototypes=None, roots=None):
         """With no arguments, the empty store."""
         self.ids = np.asarray(ids, dtype=np.int64)
-        self.counts = np.asarray(counts, dtype=np.int64)
         self.prototypes = np.asarray(np.zeros((0, 0)) if prototypes is None else prototypes,
                                      dtype=np.float64)
         n, dim = len(self.ids), self.prototypes.shape[-1]
         self.roots = np.asarray(np.zeros((0, dim)) if roots is None else roots, dtype=np.float64)
-        if (self.ids.ndim != 1 or self.counts.shape != (n,) or self.prototypes.shape != (n, dim)
+        if (self.ids.ndim != 1 or self.prototypes.shape != (n, dim)
                 or self.roots.ndim != 2 or self.roots.shape[1] != dim
                 or (len(self.roots) % n if n else len(self.roots))):
             raise InvalidArgumentError(
-                f"store arrays disagree: ids {self.ids.shape}, counts {self.counts.shape}, "
+                f"store arrays disagree: ids {self.ids.shape}, "
                 f"prototypes {self.prototypes.shape}, roots {self.roots.shape}")
         if (np.diff(self.ids) <= 0).any():
             raise InvalidArgumentError(f"store ids must ascend, got {self.ids.tolist()}")
-        for a in (self.ids, self.counts, self.prototypes, self.roots):
+        for a in (self.ids, self.prototypes, self.roots):
             a.flags.writeable = False
 
     @property
@@ -97,8 +96,8 @@ def _group_means(features, labels, caller: str):
 
 
 def fit_class_statistics(features, labels) -> PrototypeStore:
-    """A store of every distinct label's prototype, count and covariance root
-    (see the module docstring)."""
+    """A store of every distinct label's prototype and covariance root (see
+    the module docstring); each class's row count sizes its root."""
     ids, counts, starts, means, rows = _group_means(features, labels, "fit_class_statistics")
     dim = rows.shape[1]
     r = np.where(counts >= 2, np.minimum(counts, dim), 0)
@@ -107,7 +106,7 @@ def fit_class_statistics(features, labels) -> PrototypeStore:
         n, start = counts[k], starts[k]
         roots[k, :r[k]] = np.linalg.qr((rows[start:start + n] - means[k]) / math.sqrt(n - 1),
                                        mode="r")
-    return PrototypeStore(ids, counts, means, roots.reshape(-1, dim))
+    return PrototypeStore(ids, means, roots.reshape(-1, dim))
 
 
 def register(store: PrototypeStore, new: PrototypeStore) -> PrototypeStore:
@@ -127,12 +126,10 @@ def register(store: PrototypeStore, new: PrototypeStore) -> PrototypeStore:
             f"registering classes of dim {dim} into a store of dim {store.prototypes.shape[1]}")
     ids = np.sort(np.concatenate([store.ids, new.ids]))
     r_max = max(store.r_max, new.r_max)
-    counts = np.empty(len(ids), dtype=np.int64)
     protos = np.empty((len(ids), dim))
     roots = np.zeros((len(ids), r_max, dim))
     for part in filter(len, (store, new)):
         at = np.searchsorted(ids, part.ids)
-        counts[at] = part.counts
         protos[at] = part.prototypes
         roots[at, :part.r_max] = part.roots.reshape(len(part), part.r_max, dim)
-    return PrototypeStore(ids, counts, protos, roots.reshape(-1, dim))
+    return PrototypeStore(ids, protos, roots.reshape(-1, dim))

@@ -127,8 +127,7 @@ def random_store(rng, n_old: int, dim: int, zero_cov: bool = False,
             a = rng.normal(size=(dim + 2, dim))
             roots[k] = np.linalg.qr((a - a.mean(axis=0)) / math.sqrt(dim + 1), mode="r")
         protos[k] = rng.normal(size=dim)
-    return PrototypeStore(np.arange(n_old), np.full(n_old, dim + 2), protos,
-                          roots.reshape(-1, dim))
+    return PrototypeStore(np.arange(n_old), protos, roots.reshape(-1, dim))
 
 
 class ReferenceAdam:

@@ -54,7 +54,7 @@ def bench_run(seed=0, **loss_kw):
     cfg = TrainConfig(epochs_task0=BENCH_EPOCHS_TASK0,
                       epochs_incremental=BENCH_EPOCHS_INC,
                       batch_size=32, lr=0.001, seed=seed,
-                      loss_cfg=LossConfig(temperature_R=0.3, gamma=1.0, **loss_kw))
+                      loss_cfg=LossConfig(R=0.3, gamma=1.0, **loss_kw))
     return run_experiment(cfg, sched, ds, ExtractorSpec("identity", 16, 16))
 
 
@@ -74,7 +74,7 @@ def test_criterion_1_gradient_fidelity():
         n_classes = int(rng.integers(2, 6))
         n_old = int(rng.integers(1, n_classes + 1))
         clf = make_clf(rng, dim, n_classes)
-        cfg = LossConfig(temperature_R=0.3, gamma=1.0)
+        cfg = LossConfig(R=0.3, gamma=1.0)
 
         batch = make_batch(rng, 3, 3, dim, n_old=n_old, n_classes=n_classes)
         # replay CE and TCE return logit gradients; total_loss makes their head gradient

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ReferenceAdam
-from pgpfr.classifier import (AdamState, adam_step, expand, logits,
-                              new_adam_state, new_classifier, predict)
+from pgpfr.classifier import (BETA1, BETA2, AdamState, IncrementalClassifier,
+                              adam_step, expand, logits, new_adam_state,
+                              new_classifier, predict)
 from pgpfr.errors import InvalidArgumentError
 from pgpfr.losses import LossValueGrad
 
@@ -91,8 +92,7 @@ class TestLogitsPredict:
         clf = new_classifier(3, 4, seed=1)
         clf.W[:] = rng.normal(size=(4, 3))
         x = rng.normal(size=(10, 3))
-        shifted = clf.copy()
-        shifted.b += 5.0
+        shifted = IncrementalClassifier(clf.W, clf.b + 5.0, clf.task_ranges)
         assert (predict(clf, x) == predict(shifted, x)).all()
 
     def test_dim_mismatch(self):
@@ -169,9 +169,9 @@ class TestAdam:
                                        atol=1e-12 * lr * steps)
             # m and v are the raw sums: the textbook moments without (1 - beta);
             # m's entries can cancel to near zero, so its atol is scaled too
-            np.testing.assert_allclose((1 - state.beta1) * state.m[k], ref.m[k], rtol=1e-12,
+            np.testing.assert_allclose((1 - BETA1) * state.m[k], ref.m[k], rtol=1e-12,
                                        atol=1e-12 * np.abs(ref.m[k]).max(initial=0.0))
-            np.testing.assert_allclose((1 - state.beta2) * state.v[k], ref.v[k], rtol=1e-12)
+            np.testing.assert_allclose((1 - BETA2) * state.v[k], ref.v[k], rtol=1e-12)
 
     def test_step_count_increments(self):
         clf = new_classifier(2, 2, seed=0)

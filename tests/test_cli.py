@@ -238,13 +238,20 @@ class TestRun:
 
     @pytest.mark.parametrize("overrides", [
         [f"synth.dim={HUGE}"],
-        ["extractor.kind=mlp1", f"extractor.hidden_dim={HUGE}"]])
+        ["extractor.kind=mlp1", f"extractor.hidden_dim={HUGE}"],
+        # beyond what numpy can address: rejected before numpy sees the shape
+        [f"synth.dim={2 ** 63}"],
+        [f"synth.classes={10 ** 20}"],
+        [f"synth.per_class_train={2 ** 63 - 1}"],
+        ["extractor.kind=mlp1", "extractor.hidden_dim=4", f"extractor.feature_dim={2 ** 63}"],
+        ["extractor.kind=mlp1", f"extractor.hidden_dim={10 ** 20}"],
+        ["extractor.kind=linear", f"extractor.feature_dim={2 ** 64}"]])
     def test_size_too_large_to_allocate_exits_1(self, tmp_path, overrides):
         proc = run_cli("run", write_config(tmp_path),
                        *[a for o in overrides for a in ("--set", o)])
         assert_one_line_error(proc, 1)
         assert "Unable to allocate" in proc.stderr
-        assert not (tmp_path / "out" / "summary.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_float32_overflow_separation_exits_1(self, tmp_path):
         proc = run_cli("run", write_config(tmp_path), "--set", "synth.separation=1e39")
@@ -313,6 +320,16 @@ class TestSynth:
         assert "Unable to allocate" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--dim", 2 ** 63), ("--dim", 2 ** 62), ("--classes", 2 ** 64),
+        ("--per-class-train", 2 ** 63 - 1)])
+    def test_size_beyond_numpys_limit_exits_1_without_a_file(self, tmp_path, flag, value):
+        out = tmp_path / "d.pgfr"
+        proc = run_cli("synth", flag, value, "--out", out)
+        assert_one_line_error(proc, 1)
+        assert "more bytes than numpy can address" in proc.stderr
+        assert not out.exists()
+
 
 class TestInspect:
     def test_histogram(self, tmp_path, capsys):
@@ -352,9 +369,10 @@ class TestInspect:
         assert capsys.readouterr().err == "error: Unable to allocate 1.00 PiB\n"
 
 
-# `--set` values the fuzz draws from. Size and loop keys draw counts of at
-# most 6 (epochs at most 2) instead of 2**64, so no case allocates much or
-# loops for long; the removed keys and an unknown one are drawn too.
+# `--set` values the fuzz draws from. Size keys add counts of at most 6 and
+# keep 2**64, a shape numpy cannot address, so it is rejected before anything
+# is allocated. Epoch keys draw counts of at most 2 instead of 2**64, so no
+# case loops for long. The removed keys and an unknown one are drawn too.
 FUZZ_POOL = [0, -1, 2 ** 64, 1e-320, 1e308, True, None, [], "x", "mlp1", "linear"]
 SIZE_KEYS = {"synth.classes", "synth.dim", "synth.per_class_train", "synth.per_class_test",
              "schedule.k", "schedule.d", "schedule.n_tasks", "train.batch_size",
@@ -376,9 +394,10 @@ FUZZ_CONFIG = {
 
 
 def _set_value(key: str) -> st.SearchStrategy:
-    if key in SIZE_KEYS or key in EPOCH_KEYS:
-        counts = range(3) if key in EPOCH_KEYS else range(1, 7)
-        pool = [v for v in FUZZ_POOL if v != 2 ** 64] + list(counts)
+    if key in SIZE_KEYS:
+        pool = FUZZ_POOL + list(range(1, 7))
+    elif key in EPOCH_KEYS:
+        pool = [v for v in FUZZ_POOL if v != 2 ** 64] + list(range(3))
     else:
         pool = FUZZ_POOL
     return st.sampled_from(pool).map(
@@ -439,8 +458,8 @@ class TestFuzz:
         self.call(["run", "c.json"], files)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([-1, 0, 1, 6]), st.sampled_from([-1, 0, 1, 6]),
-           st.sampled_from([-1, 0, 1, 6]), st.sampled_from([-1, 0, 1, 6]),
+    @given(st.sampled_from([-1, 0, 1, 6, 2 ** 63]), st.sampled_from([-1, 0, 1, 6, 2 ** 63]),
+           st.sampled_from([-1, 0, 1, 6, 2 ** 63]), st.sampled_from([-1, 0, 1, 6, 2 ** 63]),
            st.sampled_from([0.0, -1.0, 2.5, 1e-320, 1e308, 1e39, float("nan"), float("inf")]),
            st.sampled_from([0, -1, 3, 2 ** 64]))
     def test_synth_flags(self, classes, dim, per_train, per_test, separation, seed):

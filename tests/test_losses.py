@@ -52,8 +52,8 @@ def make_clf(rng, dim, n_classes):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"temperature_R": 0.0}, "temperature must be positive"),
-    ({"temperature_R": float("nan")}, "temperature must be positive"),
+    ({"R": 0.0}, "temperature must be positive"),
+    ({"R": float("nan")}, "temperature must be positive"),
     ({"gamma": -1.0}, "gamma must be >= 0"),
     ({"gamma": float("nan")}, "gamma must be >= 0"),
 ])
@@ -77,7 +77,7 @@ class TestReplayCE:
         assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_scalar_reference(self, rng):
-        cfg = LossConfig(temperature_R=0.3)
+        cfg = LossConfig(R=0.3)
         for _ in range(5):
             clf = make_clf(rng, 4, 5)
             batch = make_batch(rng, 3, 4, 4, n_old=3, n_classes=5)
@@ -88,7 +88,7 @@ class TestReplayCE:
     def test_sharpening_disabled_uses_unit_temperature(self, rng):
         clf = make_clf(rng, 3, 4)
         batch = make_batch(rng, 2, 2, 3, n_old=2, n_classes=4)
-        off = replay_ce_head(batch, clf, 2, LossConfig(temperature_R=1.0))
+        off = replay_ce_head(batch, clf, 2, LossConfig(R=1.0))
         want = scalar_replay_ce(batch, clf.W, clf.b, 2, 1.0)
         assert off.value == pytest.approx(want, rel=1e-12)
 
@@ -127,7 +127,7 @@ class TestReplayCE:
             replay_ce_loss(batch, head_logits(clf, batch.features), n_old, LossConfig())
 
     def test_gradient_fd(self, rng):
-        cfg = LossConfig(temperature_R=0.3)
+        cfg = LossConfig(R=0.3)
         for _ in range(5):
             clf = make_clf(rng, 4, 4)
             batch = make_batch(rng, 3, 3, 4, n_old=2, n_classes=4)
@@ -355,7 +355,7 @@ def padded(store: PrototypeStore, rows: int) -> PrototypeStore:
     dim = store.prototypes.shape[1]
     slots = np.zeros((len(store), rows, dim))
     slots[:, :store.r_max] = store.roots.reshape(len(store), store.r_max, dim)
-    return PrototypeStore(store.ids, store.counts, store.prototypes, slots.reshape(-1, dim))
+    return PrototypeStore(store.ids, store.prototypes, slots.reshape(-1, dim))
 
 
 class TestVprPaths:

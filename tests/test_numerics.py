@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError
-from pgpfr.numerics import cosine_sim, covariance
+from pgpfr.numerics import check_addressable, cosine_sim, covariance
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -83,3 +83,18 @@ class TestCovariance:
         t = rng.normal(size=4) * 100
         assert np.abs(covariance(m + t) - covariance(m)).max() < 1e-9
 
+
+
+class TestCheckAddressable:
+    @pytest.mark.parametrize("shapes", [[(2 ** 63,)], [(3, 2 ** 62)], [(2, 2), (10 ** 20, 1)]])
+    def test_beyond_numpys_limit_is_a_memory_error(self, shapes):
+        with pytest.raises(MemoryError, match="more bytes than numpy can address"):
+            check_addressable(*shapes)
+
+    def test_limit_is_numpys(self):
+        # 2**60 float64s are 2**63 bytes, one more than numpy can address
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty(2 ** 60)
+        with pytest.raises(MemoryError):
+            check_addressable((2 ** 60,))
+        check_addressable((2 ** 60 - 1,), (2, 3))   # left to numpy's allocation

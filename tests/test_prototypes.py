@@ -16,7 +16,7 @@ class TestFitClassStatistics:
         assert store.ids.tolist() == [1]
         assert np.allclose(store.prototypes[0], [2, 5])
         assert np.allclose(dense_covariances(store)[0], 0.0)
-        assert store.counts.tolist() == [4]
+        assert store.r_max == 2   # min(4 rows, D = 2): the row count sizes the root
 
     def test_single_row_zero_covariance(self):
         store = fit_class_statistics([[1.0, -1.0]], [3])
@@ -39,7 +39,7 @@ class TestFitClassStatistics:
         perm = rng.permutation(30)
         a = fit_class_statistics(feats, labels)
         b = fit_class_statistics(feats[perm], labels[perm])
-        assert np.array_equal(a.ids, b.ids) and np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.ids, b.ids) and a.roots.shape == b.roots.shape
         assert np.abs(a.prototypes - b.prototypes).max() < 1e-12
         assert np.abs(dense_covariances(a) - dense_covariances(b)).max() < 1e-12
 
@@ -60,14 +60,14 @@ class TestCovarianceForms:
     def test_factor_class_holds_no_dense_matrix(self, rng):
         store = fit_class_statistics(rng.normal(size=(20, 512)), [0] * 20)
         held = sum(v.nbytes for v in vars(store).values() if isinstance(v, np.ndarray))
-        assert held == (20 + 1) * 512 * 8 + 2 * 8   # root, prototype, id and count
+        assert held == (20 + 1) * 512 * 8 + 8   # root, prototype and id
 
 
 def batch_prototypes(features, labels, batch_sizes=None) -> np.ndarray:
     """Each row's batch class prototype as `generate_pseudo_batch` translates
     by it: against one old class at the origin, a pseudo row is f - mu_hat."""
     features = np.asarray(features, dtype=np.float64)
-    origin = PrototypeStore([0], [1], np.zeros((1, features.shape[1])))
+    origin = PrototypeStore([0], np.zeros((1, features.shape[1])))
     return features - generate_pseudo_batch(features, labels, origin, batch_sizes).features
 
 
@@ -140,7 +140,7 @@ class TestBatchClassPrototypes:
 
 def _store(ids, dim=2):
     """Zero prototypes and empty roots for the given ascending ids."""
-    return PrototypeStore(ids, np.ones(len(ids)), np.zeros((len(ids), dim)))
+    return PrototypeStore(ids, np.zeros((len(ids), dim)))
 
 
 class TestRegister:
@@ -186,7 +186,7 @@ class TestRegister:
             sel = np.isin(labels, class_ids[task_of == t])
             store = register(store, fit_class_statistics(feats[sel], labels[sel]))
         whole = fit_class_statistics(feats, labels)
-        for name in ("ids", "counts", "prototypes", "roots"):
+        for name in ("ids", "prototypes", "roots"):
             assert np.array_equal(getattr(store, name), getattr(whole, name)), name
         assert store.r_max == whole.r_max
 
@@ -199,7 +199,7 @@ class TestPackedStore:
 
     def test_ascending_ids_and_padded_slots(self, rng):
         feats, labels, store = self._fit(rng)
-        assert store.ids.tolist() == [2, 4, 7, 11] and store.counts.tolist() == [3, 5, 1, 12]
+        assert store.ids.tolist() == [2, 4, 7, 11]
         assert store.r_max == 8 and store.roots.shape == (4 * 8, 8)
         slots = store.roots.reshape(4, 8, 8)
         for k, cid in enumerate(store.ids):
@@ -214,14 +214,14 @@ class TestPackedStore:
     def test_each_root_held_once(self, rng):
         _, _, store = self._fit(rng)
         arrays = [v for v in vars(store).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 4
+        assert len(arrays) == 3
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
                        for b in arrays[i + 1:])
-        assert sum(a.nbytes for a in arrays) == (4 + 4 + 4 * 8 + 4 * 8 * 8) * 8
+        assert sum(a.nbytes for a in arrays) == (4 + 4 * 8 + 4 * 8 * 8) * 8
 
     def test_packed_arrays_are_read_only(self, rng):
         _, _, store = self._fit(rng)
-        for name in ("ids", "counts", "prototypes", "roots"):
+        for name in ("ids", "prototypes", "roots"):
             with pytest.raises(ValueError):
                 getattr(store, name)[0] = 1
         merged = register(store, _store([20], dim=8))
@@ -233,22 +233,22 @@ class TestPackedStore:
 
     def test_dims_must_agree(self):
         with pytest.raises(InvalidArgumentError, match="store arrays disagree"):
-            PrototypeStore([0, 1], [1, 1], np.zeros((2, 2)), np.zeros((2, 3)))
+            PrototypeStore([0, 1], np.zeros((2, 2)), np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("ids, counts, protos, roots", [
-        ([0, 1], [1], (2, 2), (0, 2)),         # one count for two ids
-        ([0, 1], [1, 1], (3, 2), (0, 2)),      # three prototypes for two ids
-        ([0, 1], [1, 1], (2, 2), (3, 2)),      # root rows not a multiple of No
-        ([], [], (0, 2), (1, 2)),              # root rows without classes
-        ([[0, 1]], [1, 1], (2, 2), (0, 2)),    # ids not a vector
-        ([0, 1], [1, 1], (2, 2), (2,)),        # roots not a matrix
+    @pytest.mark.parametrize("ids, protos, roots", [
+        ([0, 1], (1, 2), (0, 2)),      # one prototype for two ids
+        ([0, 1], (3, 2), (0, 2)),      # three prototypes for two ids
+        ([0, 1], (2, 2), (3, 2)),      # root rows not a multiple of No
+        ([], (0, 2), (1, 2)),          # root rows without classes
+        ([[0, 1]], (2, 2), (0, 2)),    # ids not a vector
+        ([0, 1], (2, 2), (2,)),        # roots not a matrix
     ])
-    def test_shapes_must_agree(self, ids, counts, protos, roots):
+    def test_shapes_must_agree(self, ids, protos, roots):
         with pytest.raises(InvalidArgumentError, match="store arrays disagree"):
-            PrototypeStore(ids, counts, np.zeros(protos), np.zeros(roots))
+            PrototypeStore(ids, np.zeros(protos), np.zeros(roots))
 
     @pytest.mark.parametrize("ids", [[1, 0], [3, 3], [0, 2, 1]])
     def test_ids_must_ascend(self, ids):
         n = len(ids)
         with pytest.raises(InvalidArgumentError, match="ids must ascend"):
-            PrototypeStore(ids, np.ones(n), np.zeros((n, 2)))
+            PrototypeStore(ids, np.zeros((n, 2)))

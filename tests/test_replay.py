@@ -16,7 +16,7 @@ def store_with_protos(protos):
     """A store of the given {class id: prototype}, in any id order, with
     empty roots."""
     ids = sorted(protos)
-    return PrototypeStore(ids, [2] * len(ids), [protos[cid] for cid in ids])
+    return PrototypeStore(ids, [protos[cid] for cid in ids])
 
 
 def proto_of(store, cid) -> np.ndarray:
