@@ -24,6 +24,7 @@ import io
 import os
 import stat
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,9 @@ class Dataset:
 
 @dataclass
 class TaskDataset:
+    """One task's split: `class_ids` are the dataset's ids, the labels head
+    rows, each class's position in the class order. A row is found through
+    the label's rank among the sorted class ids, as labels reach 2**32 - 1."""
     task_index: int
     class_ids: tuple[int, ...]
     train_features: np.ndarray
@@ -223,33 +227,35 @@ def load_csv(path) -> Dataset:
     return ds
 
 
-def split_schedule(ds: Dataset, schedule) -> list[TaskDataset]:
-    """Carve the dataset into per-task views following schedule.class_order:
-    task 0 takes the first k classes, each later task the next d."""
+def split_schedule(ds: Dataset, schedule) -> Iterator[TaskDataset]:
+    """Check that the dataset holds every scheduled class, then return an
+    iterator that cuts each task's split only when that task is asked for:
+    task 0 takes the first k classes of schedule.class_order, each later
+    task the next d."""
     order = list(schedule.class_order)
     needed = schedule.k + (schedule.n_tasks - 1) * schedule.d
     if len(order) < needed:
         raise InvalidArgumentError(
             f"schedule needs {needed} classes, class_order has {len(order)}")
-    present = set(ds.class_ids)
+    ids, rank = np.unique(ds.labels, return_inverse=True)
+    present = set(ids.tolist())
     missing = [c for c in order[:needed] if c not in present]
     if missing:
         raise InvalidArgumentError(f"dataset is missing scheduled classes {missing}")
+    # head row by rank, -1 for a class the schedule leaves out
+    row_of_rank = np.full(len(ids), -1, dtype=np.int64)
+    row_of_rank[np.searchsorted(ids, order[:needed])] = np.arange(needed)
+    rows = row_of_rank[rank]
+    bounds = [0] + [schedule.k + ti * schedule.d for ti in range(schedule.n_tasks)]
 
-    tasks = []
-    pos = 0
-    for ti in range(schedule.n_tasks):
-        size = schedule.k if ti == 0 else schedule.d
-        cids = tuple(order[pos:pos + size])
-        pos += size
-        sel = np.isin(ds.labels, cids)
-        tr = sel & (ds.split == TRAIN)
-        te = sel & (ds.split == TEST)
-        tasks.append(TaskDataset(
-            task_index=ti, class_ids=cids,
-            train_features=ds.features[tr], train_labels=ds.labels[tr],
-            test_features=ds.features[te], test_labels=ds.labels[te]))
-    return tasks
+    def tasks():
+        for ti, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            sel = (rows >= lo) & (rows < hi)
+            tr = sel & (ds.split == TRAIN)
+            te = sel & (ds.split == TEST)
+            yield TaskDataset(ti, tuple(order[lo:hi]), ds.features[tr], rows[tr],
+                              ds.features[te], rows[te])
+    return tasks()
 
 
 def batches(td: TaskDataset, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:

@@ -6,20 +6,18 @@ function of its input, so each task embeds its train set once and its test
 set once: the training batches, the class statistics and the evaluation all
 read those arrays. The data stay float32 until the backbone embeds them,
 one row block at a time (task 0 converts each mini-batch), and each task's
-split is dropped once the task is done. Every later task expands the head,
-trains it per batch on merged pseudo+real features with the configured
-losses, and registers the new classes' statistics at the end. A step
-computes its logits once, and the head gradient of every loss in one
-product plus VPR's.
-
-Dataset class ids are remapped to head row indices via the schedule's class
-order; all metrics are computed in that row space.
+split is cut from the dataset only when its turn comes. Every later task
+expands the head, trains it per batch on merged pseudo+real features with
+the configured losses, and registers the new classes' statistics at the
+end. A step computes its logits once, and the head gradient of every loss
+in one product plus VPR's. Labels arrive as head rows (see
+`dataio.TaskDataset`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,19 +75,13 @@ class ExperimentState:
     clf: clf_mod.IncrementalClassifier
     store: PrototypeStore
     metrics: list[MetricsRecord] = field(default_factory=list)
-    label_map: dict[int, int] = field(default_factory=dict)
     # accumulated test pool for global evaluation: one block of frozen-backbone
     # features per task, and the matching head row labels
     test_features: list[np.ndarray] = field(default_factory=list)
     test_labels: list[np.ndarray] = field(default_factory=list)
 
 
-def _rows(state: ExperimentState, labels) -> np.ndarray:
-    return np.array([state.label_map[int(c)] for c in labels], dtype=np.int64)
-
-
-def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndarray,
-                 train_rows: np.ndarray) -> None:
+def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndarray) -> None:
     """Check the head and the task's embedded train and test features, add
     the test set to the pool, record G and L, and register the task's class
     statistics from its embedded train set.
@@ -108,7 +100,7 @@ def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndar
         raise InvalidStateError(
             f"task {data.task_index} diverged: its embedded train or test features are non-finite")
     state.test_features.append(test_feats)
-    state.test_labels.append(_rows(state, data.test_labels))
+    state.test_labels.append(data.test_labels)
 
     y_all = np.concatenate(state.test_labels)
     preds = np.concatenate([clf_mod.predict(state.clf, f) for f in state.test_features])
@@ -119,7 +111,7 @@ def _finish_task(state: ExperimentState, data: TaskDataset, train_feats: np.ndar
     old_acc = accuracy(preds[old_sel], y_all[old_sel])
     new_sel = ~old_sel
     new_acc = accuracy(preds[new_sel], y_all[new_sel]) if new_sel.any() else float("nan")
-    state.store = register(state.store, fit_class_statistics(train_feats, train_rows))
+    state.store = register(state.store, fit_class_statistics(train_feats, data.train_labels))
     state.metrics.append(MetricsRecord(
         task_index=len(state.metrics), global_acc=g, local_acc=local,
         ifm=ifm(local, g), old_acc=old_acc, new_acc=new_acc))
@@ -133,11 +125,9 @@ def run_task0(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> No
         raise InvalidStateError(
             f"classifier has {state.clf.n_classes} classes, task 0 brings "
             f"{len(data.class_ids)}")
-    rows = _rows(state, data.train_labels)
-    ext_mod.train_task0(state.extractor, replace(data, task_index=0, train_labels=rows),
-                        state.clf, cfg)
+    ext_mod.train_task0(state.extractor, data, state.clf, cfg)
     state.extractor.freeze()
-    _finish_task(state, data, state.extractor.embed_batch(data.train_features), rows)
+    _finish_task(state, data, state.extractor.embed_batch(data.train_features))
 
 
 def run_incremental_task(state: ExperimentState, data: TaskDataset, cfg: TrainConfig) -> None:
@@ -154,8 +144,7 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset, cfg: TrainCo
     """
     if not state.extractor.frozen:
         raise InvalidStateError("incremental task before task 0 (extractor not frozen)")
-    new_rows = _rows(state, list(data.class_ids))
-    seen = np.intersect1d(new_rows, state.store.ids)
+    seen = np.intersect1d(data.train_labels, state.store.ids)
     if seen.size:
         raise InvalidStateError(f"class row {seen[0]} already has registered statistics")
 
@@ -166,12 +155,11 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset, cfg: TrainCo
     adam = clf_mod.new_adam_state(state.clf.params, lr=cfg.lr)
 
     feats_all = state.extractor.embed_batch(data.train_features)
-    y_all = _rows(state, data.train_labels)
 
     for epoch in range(cfg.epochs_incremental):
         idx = batches(data, cfg.batch_size, cfg.seed, epoch)
         order, sizes = np.concatenate(idx), [len(i) for i in idx]
-        feats, y = feats_all[order], y_all[order]
+        feats, y = feats_all[order], data.train_labels[order]
         if lc.enable_P:
             pseudo = generate_pseudo_batch(feats, y, state.store,
                                            sizes if lc.enable_batch_proto else None)
@@ -194,7 +182,7 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset, cfg: TrainCo
                     f"task {data.task_index} diverged: loss {total.value} at epoch {epoch}, step {step}")
             clf_mod.adam_step(state.clf, total, adam)
 
-    _finish_task(state, data, feats_all, y_all)
+    _finish_task(state, data, feats_all)
 
 
 def run_experiment(cfg: TrainConfig, schedule: TaskSchedule, dataset: Dataset,
@@ -203,23 +191,21 @@ def run_experiment(cfg: TrainConfig, schedule: TaskSchedule, dataset: Dataset,
     """Run the full schedule and return one MetricsRecord per task.
 
     `task_callback(state)`, when given, is invoked after each task; it is
-    how checkpointing and invariant checks hook in. Each task's split is
-    released once the task is done.
+    how checkpointing and invariant checks hook in. The schedule is checked
+    against the dataset before task 0, and each task's split is cut when
+    its turn comes.
     """
     if extractor_spec.input_dim != dataset.dim:
         raise InvalidArgumentError(
             f"extractor input_dim {extractor_spec.input_dim} does not match the "
             f"dataset's {dataset.dim}-d features")
     tasks = split_schedule(dataset, schedule)
-    label_map = {int(cid): i for i, cid in enumerate(schedule.class_order)}
     state = ExperimentState(
         extractor=ext_mod.init(extractor_spec),
         clf=clf_mod.new_classifier(extractor_spec.feature_dim, schedule.k, cfg.seed),
-        store=PrototypeStore(),
-        label_map=label_map)
-    for i in range(len(tasks)):
-        td, tasks[i] = tasks[i], None   # the next task's turn frees this one
-        (run_task0 if i == 0 else run_incremental_task)(state, td, cfg)
+        store=PrototypeStore())
+    for td in tasks:
+        (run_task0 if td.task_index == 0 else run_incremental_task)(state, td, cfg)
         if task_callback is not None:
             task_callback(state)
     return state.metrics

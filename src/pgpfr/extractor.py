@@ -47,6 +47,9 @@ class ExtractorSpec:
             raise InvalidArgumentError("identity extractor requires input_dim == feature_dim")
         if self.kind == "mlp1" and self.hidden_dim < 1:
             raise InvalidArgumentError("mlp1 requires hidden_dim >= 1")
+        if self.kind != "mlp1" and self.hidden_dim != 0:
+            raise InvalidArgumentError(
+                f"hidden_dim is for mlp1 only; {self.kind} takes none, got {self.hidden_dim}")
         if self.seed < 0:
             raise InvalidArgumentError(f"extractor seed must be >= 0, got {self.seed}")
 

@@ -173,12 +173,15 @@ class TestRun:
         assert main(["run", str(write_config(tmp_path, dataset="x.pgfr"))]) == 2
 
     def test_runtime_validation_exits_1(self, tmp_path, capsys):
-        # schedule needs more classes than the dataset has
         cfg = write_config(tmp_path)
-        raw = json.loads(cfg.read_text())
-        raw["schedule"]["n_tasks"] = 10
-        cfg.write_text(json.dumps(raw))
-        assert main(["run", str(cfg)]) == 1
+        for override, message in [
+                # the schedule needs more classes than the dataset has
+                ("schedule.n_tasks=10", "schedule requires more classes than the dataset provides"),
+                # a hidden width the identity backbone has no use for
+                ("extractor.hidden_dim=8", "hidden_dim is for mlp1 only; identity takes none, got 8")]:
+            assert main(["run", str(cfg), "--set", override]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override", [
         "synth.seed=-1", "schedule.class_order_seed=-1", "train.seed=-1",

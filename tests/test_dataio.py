@@ -2,13 +2,14 @@ import hashlib
 import os
 import struct
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from pgpfr import dataio
-from pgpfr.dataio import (Dataset, batches, class_order_for, load_csv,
+from pgpfr.dataio import (TEST, TRAIN, Dataset, batches, class_order_for, load_csv,
                           load_dataset, save_dataset, split_schedule,
                           synth_gaussian)
 from pgpfr.engine import TaskSchedule
@@ -296,12 +297,12 @@ class TestSplitSchedule:
 
     def test_ten_class_counting(self):
         ds = synth_gaussian(10, 4, 2, 1, 1.0, seed=0)
-        tasks = split_schedule(ds, TaskSchedule(10, 4, 1, 7, list(range(10))))
+        tasks = list(split_schedule(ds, TaskSchedule(10, 4, 1, 7, list(range(10)))))
         assert len(tasks) == 7
 
     def test_single_task(self):
         ds = synth_gaussian(5, 4, 2, 1, 1.0, seed=0)
-        tasks = split_schedule(ds, TaskSchedule(5, 5, 1, 1, list(range(5))))
+        tasks = list(split_schedule(ds, TaskSchedule(5, 5, 1, 1, list(range(5)))))
         assert len(tasks) == 1 and tasks[0].class_ids == (0, 1, 2, 3, 4)
 
     def test_partition_is_exact(self):
@@ -313,7 +314,7 @@ class TestSplitSchedule:
     def test_follows_class_order(self):
         ds = synth_gaussian(6, 4, 2, 1, 1.0, seed=0)
         order = [5, 3, 1, 0, 2, 4]
-        tasks = split_schedule(ds, TaskSchedule(6, 2, 2, 3, order))
+        tasks = list(split_schedule(ds, TaskSchedule(6, 2, 2, 3, order)))
         assert tasks[0].class_ids == (5, 3)
         assert tasks[2].class_ids == (2, 4)
 
@@ -322,11 +323,44 @@ class TestSplitSchedule:
         with pytest.raises(InvalidArgumentError):
             split_schedule(ds, TaskSchedule(10, 4, 1, 7, list(range(10))))
 
+    def test_labels_are_head_rows(self):
+        ds = synth_gaussian(6, 4, 2, 1, 1.0, seed=0)
+        order = [5, 3, 1, 0, 2, 4]
+        for t in split_schedule(ds, TaskSchedule(6, 2, 2, 3, order)):
+            for split, feats, labels in ((TRAIN, t.train_features, t.train_labels),
+                                         (TEST, t.test_features, t.test_labels)):
+                sel = np.isin(ds.labels, t.class_ids) & (ds.split == split)
+                assert np.array_equal(feats, ds.features[sel])
+                assert labels.dtype == np.int64
+                assert labels.tolist() == [order.index(c) for c in ds.labels[sel]]
+
+    def test_labels_up_to_the_largest_u32(self):
+        labels = np.array([3, 7, 2 ** 32 - 1] * 2, dtype=np.int64)
+        ds = Dataset(np.arange(12, dtype=np.float32).reshape(6, 2), labels,
+                     np.repeat(np.array([TRAIN, TEST], dtype=np.uint8), 3))
+        tasks = list(split_schedule(ds, TaskSchedule(3, 1, 1, 3, [2 ** 32 - 1, 3, 7])))
+        assert [t.class_ids for t in tasks] == [(2 ** 32 - 1,), (3,), (7,)]
+        assert [t.train_labels.tolist() for t in tasks] == [[0], [1], [2]]
+        assert [t.test_labels.tolist() for t in tasks] == [[0], [1], [2]]
+
+    def test_creating_the_iterator_cuts_no_split(self):
+        ds = synth_gaussian(10, 128, 20, 5, 1.0, seed=0)
+        sched = TaskSchedule(10, 5, 5, 2, list(range(10)))
+        split_schedule(ds, sched)   # the first call imports modules numpy loads lazily
+        tracemalloc.start()
+        try:
+            tasks = split_schedule(ds, sched)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        first = next(iter(tasks))
+        assert peak < first.train_features.nbytes + first.test_features.nbytes
+
 
 class TestBatches:
     def _task(self, n=10):
         ds = synth_gaussian(2, 3, n // 2, 1, 1.0, seed=0)
-        return split_schedule(ds, TaskSchedule(2, 2, 1, 1, [0, 1]))[0]
+        return list(split_schedule(ds, TaskSchedule(2, 2, 1, 1, [0, 1])))[0]
 
     def test_chunk_sizes(self):
         td = self._task(10)
@@ -341,7 +375,7 @@ class TestBatches:
 
     def test_epochs_differ(self):
         ds = synth_gaussian(2, 3, 50, 1, 1.0, seed=0)
-        td = split_schedule(ds, TaskSchedule(2, 2, 1, 1, [0, 1]))[0]
+        td = list(split_schedule(ds, TaskSchedule(2, 2, 1, 1, [0, 1])))[0]
         a = batches(td, 100, seed=0, epoch=0)[0]
         b = batches(td, 100, seed=0, epoch=1)[0]
         assert not np.array_equal(a, b)

@@ -33,8 +33,7 @@ def fresh_state(sched, spec, cfg):
     return ExperimentState(
         extractor=init(spec),
         clf=new_classifier(spec.feature_dim, sched.k, cfg.seed),
-        store=PrototypeStore(),
-        label_map={c: i for i, c in enumerate(sched.class_order)})
+        store=PrototypeStore())
 
 
 def test_train_config_rejects_negative_seed():
@@ -51,7 +50,7 @@ def test_train_config_rejects_non_positive_or_nan_lr(lr):
 class TestRunTask0:
     def test_freezes_and_registers(self):
         ds, sched, cfg, spec = small_setup()
-        tasks = split_schedule(ds, sched)
+        tasks = list(split_schedule(ds, sched))
         state = fresh_state(sched, spec, cfg)
         run_task0(state, tasks[0], cfg)
         assert state.extractor.frozen
@@ -60,14 +59,14 @@ class TestRunTask0:
 
     def test_separable_data_high_accuracy(self):
         ds, sched, cfg, spec = small_setup()
-        tasks = split_schedule(ds, sched)
+        tasks = list(split_schedule(ds, sched))
         state = fresh_state(sched, spec, cfg)
         run_task0(state, tasks[0], cfg)
         assert state.metrics[0].global_acc >= 0.9
 
     def test_rejects_second_call(self):
         ds, sched, cfg, spec = small_setup()
-        tasks = split_schedule(ds, sched)
+        tasks = list(split_schedule(ds, sched))
         state = fresh_state(sched, spec, cfg)
         run_task0(state, tasks[0], cfg)
         with pytest.raises(InvalidStateError):
@@ -75,7 +74,7 @@ class TestRunTask0:
 
     def test_rejects_class_count_mismatch(self):
         ds, sched, cfg, spec = small_setup()
-        tasks = split_schedule(ds, sched)
+        tasks = list(split_schedule(ds, sched))
         state = fresh_state(sched, spec, cfg)
         state.clf = new_classifier(spec.feature_dim, sched.k + 1, cfg.seed)
         with pytest.raises(InvalidStateError):
@@ -85,7 +84,7 @@ class TestRunTask0:
 class TestRunIncrementalTask:
     def _after_task0(self, **loss_kw):
         ds, sched, cfg, spec = small_setup(**loss_kw)
-        tasks = split_schedule(ds, sched)
+        tasks = list(split_schedule(ds, sched))
         state = fresh_state(sched, spec, cfg)
         run_task0(state, tasks[0], cfg)
         return state, tasks, cfg
@@ -99,7 +98,7 @@ class TestRunIncrementalTask:
     def test_extractor_bitwise_stable(self):
         ds, sched, cfg, _ = small_setup()
         spec = ExtractorSpec("mlp1", 6, 6, hidden_dim=8, seed=0)
-        tasks = split_schedule(ds, sched)
+        tasks = list(split_schedule(ds, sched))
         state = fresh_state(sched, spec, cfg)
         run_task0(state, tasks[0], cfg)
         snap = state.extractor.snapshot()
@@ -109,7 +108,7 @@ class TestRunIncrementalTask:
 
     def test_requires_frozen_extractor(self):
         ds, sched, cfg, spec = small_setup()
-        tasks = split_schedule(ds, sched)
+        tasks = list(split_schedule(ds, sched))
         state = fresh_state(sched, spec, cfg)
         with pytest.raises(InvalidStateError):
             run_incremental_task(state, tasks[1], cfg)
@@ -208,7 +207,8 @@ class TestEmbedOnce:
     def _setup(kind, **loss_kw):
         ds, _, cfg, _ = small_setup(**loss_kw)
         sched = TaskSchedule(6, 3, 1, 4, class_order_for(ds, 3))
-        spec = ExtractorSpec(kind, 6, 6 if kind == "identity" else 4, hidden_dim=8)
+        spec = ExtractorSpec(kind, 6, 6 if kind == "identity" else 4,
+                             hidden_dim=8 if kind == "mlp1" else 0)
         return ds, sched, cfg, spec
 
     @pytest.mark.parametrize("batch_proto", [True, False])
@@ -230,14 +230,13 @@ class TestEmbedOnce:
     @pytest.mark.parametrize("kind", ["identity", "mlp1"])
     def test_records_match_a_direct_evaluation(self, kind):
         ds, sched, cfg, spec = self._setup(kind)
-        tasks = split_schedule(ds, sched)
+        tasks = list(split_schedule(ds, sched))
         checked = []
 
         def check(state):
             seen = tasks[:len(state.metrics)]
             blocks = [state.extractor.embed_batch(t.test_features) for t in seen]
-            labels = [np.array([state.label_map[int(c)] for c in t.test_labels])
-                      for t in seen]
+            labels = [t.test_labels for t in seen]
             assert len(state.test_features) == len(blocks)
             for pooled, block in zip(state.test_features, blocks):
                 assert np.array_equal(pooled, block)
@@ -262,7 +261,7 @@ def reference_incremental_head(state, data, cfg, task_order_means=False):
     adam = clf_mod.new_adam_state(clf.params, lr=cfg.lr)
     store, n_old = state.store, len(state.store)
     feats_all = state.extractor.embed_batch(data.train_features)
-    y_all = np.array([state.label_map[int(c)] for c in data.train_labels])
+    y_all = data.train_labels
     for epoch in range(cfg.epochs_incremental):
         idx = batches(data, cfg.batch_size, cfg.seed, epoch)
         order = np.arange(len(y_all)) if task_order_means else np.concatenate(idx)
@@ -300,8 +299,9 @@ class TestEpochPseudoRows:
         ds, _, cfg, _ = small_setup(**loss_kw)
         # 3 classes of 30 rows per task: batches of 16 with a short final one
         sched = TaskSchedule(6, 3, 3, 2, class_order_for(ds, 3))
-        spec = ExtractorSpec(kind, 6, 6 if kind == "identity" else 4, hidden_dim=8)
-        tasks = split_schedule(ds, sched)
+        spec = ExtractorSpec(kind, 6, 6 if kind == "identity" else 4,
+                             hidden_dim=8 if kind == "mlp1" else 0)
+        tasks = list(split_schedule(ds, sched))
         state = fresh_state(sched, spec, cfg)
         run_task0(state, tasks[0], cfg)
         before = copy.deepcopy(state)

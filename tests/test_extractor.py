@@ -40,6 +40,9 @@ class TestInit:
             ExtractorSpec("conv", 4, 4)
         with pytest.raises(InvalidArgumentError, match="extractor seed must be >= 0"):
             ExtractorSpec("mlp1", 4, 3, hidden_dim=5, seed=-1)
+        for kind, feature_dim in (("identity", 4), ("linear", 3)):
+            with pytest.raises(InvalidArgumentError, match="hidden_dim is for mlp1 only"):
+                ExtractorSpec(kind, 4, feature_dim, hidden_dim=8)
 
 
 class TestEmbed:
@@ -81,7 +84,7 @@ class TestEmbedRowBlocks:
     @pytest.mark.parametrize("n", [1, EMBED_ROWS - 1, EMBED_ROWS, 2 * EMBED_ROWS - 1,
                                    2 * EMBED_ROWS, 2 * EMBED_ROWS + 1])
     def test_bitwise_equal_to_one_shot_forward(self, rng, kind, n):
-        e = init(ExtractorSpec(kind, 48, 16, hidden_dim=64, seed=3))
+        e = init(ExtractorSpec(kind, 48, 16, hidden_dim=64 if kind == "mlp1" else 0, seed=3))
         for name, p in e.params.items():   # a trained-looking backbone: most ReLUs pass
             p[...] = rng.normal(size=p.shape) * (0.1 if name.startswith("W") else 1.0)
         x = rng.normal(size=(n, 48)).astype(np.float32)
