@@ -64,17 +64,14 @@ def expand(clf: IncrementalClassifier, d: int, seed: int) -> IncrementalClassifi
     )
 
 
-def logits(clf: IncrementalClassifier, features) -> np.ndarray:
+def predict(clf: IncrementalClassifier, features) -> np.ndarray:
+    """Argmax class per row of the (N, D) features' float64 logits; ties
+    resolve to the smallest class id."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != clf.dim:
         raise InvalidArgumentError(
             f"features must be (N, {clf.dim}), got {features.shape}")
-    return features @ clf.W.T + clf.b
-
-
-def predict(clf: IncrementalClassifier, features) -> np.ndarray:
-    """Argmax class per row; ties resolve to the smallest class id."""
-    return np.argmax(logits(clf, features), axis=1)
+    return np.argmax(features @ clf.W.T + clf.b, axis=1)
 
 
 @dataclass

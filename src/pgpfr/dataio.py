@@ -9,9 +9,9 @@ Features are kept as float32 in memory so a save/load round trip is
 bitwise lossless, and every full-size array exists once, in its storage
 dtype: the synthetic generator casts each class block into one float32
 array, and the loader reads fixed-size record blocks straight into the
-float32, int64 and uint8 arrays. Numerics upcast to float64 at the point of
-use: task-0 training per batch, the backbone per row block of its forward
-pass.
+float32, int64 and uint8 arrays; the writer packs and writes one record
+block at a time. Features stay float32 until the backbone embeds them into
+float64 (see `extractor`).
 
 All randomness flows through numpy SeedSequence keyed by (seed, purpose
 tag, ...) so identical configs reproduce across platforms.
@@ -44,7 +44,8 @@ _TAG_BATCHES = 12
 _TAG_CLASS_ORDER = 13
 
 HEADER_BYTES = 20
-# bytes of records load_dataset reads per block; a block holds at least one
+# bytes of records save_dataset packs and load_dataset reads per block; a
+# block holds at least one record
 READ_BLOCK_BYTES = 1 << 20
 
 
@@ -102,10 +103,16 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("label", "<u4"), ("split", "u1"), ("features", "<f4", (dim,))])
 
 
+def _block_rows(n: int, rec: np.dtype) -> int:
+    """Records per block of about READ_BLOCK_BYTES, at least one."""
+    return max(1, min(n, READ_BLOCK_BYTES // rec.itemsize))
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """Write ds in the binary format. Features must be 2-D with one label and
     one split byte per row, labels must fit in u32 and split bytes be TRAIN
-    or TEST, all checked before the file is opened."""
+    or TEST, all checked before the file is opened. Records are packed and
+    written one block of about READ_BLOCK_BYTES at a time."""
     if ds.features.ndim != 2:
         raise InvalidArgumentError(f"features must be 2-D, got shape {ds.features.shape}")
     if not ds.labels.shape == ds.split.shape == (ds.n_samples,):
@@ -116,14 +123,20 @@ def save_dataset(ds: Dataset, path) -> None:
         raise InvalidArgumentError("labels must lie in [0, 2**32)")
     if not np.isin(ds.split, (TRAIN, TEST)).all():
         raise InvalidArgumentError(f"split bytes must be {TRAIN} (train) or {TEST} (test)")
-    records = np.empty(ds.n_samples, dtype=_record_dtype(ds.dim))
-    records["label"] = ds.labels
-    records["split"] = ds.split
-    records["features"] = ds.features
+    n = ds.n_samples
+    rec = _record_dtype(ds.dim)
+    per_block = _block_rows(n, rec)
+    buf = np.empty(min(n, per_block), dtype=rec)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<IQI", VERSION, ds.n_samples, ds.dim))
-        fh.write(records)
+        fh.write(struct.pack("<IQI", VERSION, n, ds.dim))
+        for lo in range(0, n, per_block):
+            hi = min(lo + per_block, n)
+            block = buf[:hi - lo]
+            block["label"] = ds.labels[lo:hi]
+            block["split"] = ds.split[lo:hi]
+            block["features"] = ds.features[lo:hi]
+            fh.write(block)
 
 
 def load_dataset(path) -> Dataset:
@@ -160,7 +173,7 @@ def _read_records(fh, size: int) -> Dataset:
 
     ds = Dataset(np.empty((n, dim), dtype=np.float32), np.empty(n, dtype=np.int64),
                  np.empty(n, dtype=np.uint8))
-    per_block = max(1, min(n, READ_BLOCK_BYTES // rec.itemsize))
+    per_block = _block_rows(n, rec)
     buf = np.empty(per_block * rec.itemsize, dtype=np.uint8)
     for lo in range(0, n, per_block):
         hi = min(lo + per_block, n)

@@ -4,9 +4,10 @@ Task 0 trains the backbone and head jointly with plain cross-entropy, then
 freezes the backbone for good. From then on a sample's feature is a fixed
 function of its input, so each task embeds its train set once and its test
 set once: the training batches, the class statistics and the evaluation all
-read those arrays. The data stay float32 until the backbone embeds them,
-one row block at a time (task 0 converts each mini-batch), and each task's
-split is cut from the dataset only when its turn comes. Every later task
+read those arrays. The data stay float32 until the backbone embeds them
+into float64, one row block at a time (task 0 feeds each float32 mini-batch
+to the float32 backbone as it is), and each task's split is cut from the
+dataset only when its turn comes. Every later task
 expands the head, trains it per batch on merged pseudo+real features with
 the configured losses, and registers the new classes' statistics at the
 end. A step computes its logits once, and the head gradient of every loss

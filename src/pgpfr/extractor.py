@@ -4,10 +4,15 @@ The backbone is trainable only during the first task; afterwards it is
 frozen and every later task sees the exact same feature space. That
 stability is what keeps stored class statistics valid across tasks.
 
-Inputs stay in their storage dtype (float32 from `dataio`) until they are
-used: task-0 training converts each mini-batch to float64, and
-`Extractor.embed_batch` converts and embeds one block of EMBED_ROWS rows at a
-time into one preallocated float64 output.
+The `linear` and `mlp1` backbones are float32 end to end: their parameters,
+their task-0 gradients and Adam moments, and their forward pass. Task-0
+training feeds each float32 mini-batch as it comes, and
+`Extractor.embed_batch` embeds one block of EMBED_ROWS rows at a time in
+float32 into one preallocated float64 output; `identity` copies its input
+to float64. Everything after the backbone (the head, the losses, the
+prototype store) is float64. The float32 backbone's range ends at 3.4e38: a
+task-0 step that leaves it gives a non-finite loss, and training stops as
+diverged.
 """
 
 from __future__ import annotations
@@ -62,11 +67,11 @@ class Extractor:
 
     def embed_batch(self, x) -> np.ndarray:
         """Float64 features of the (N, input_dim) batch x, bitwise equal to
-        one `_forward` over all of x. The identity backbone makes one float64
-        copy; the others run their forward pass per row block (see
-        EMBED_ROWS), so only one block is in float64 at a time. A diverged
-        backbone gives non-finite features without a numpy warning; callers
-        check them."""
+        one `_forward` over all of x in float32. The identity backbone makes
+        one float64 copy; the others run their float32 forward pass per row
+        block (see EMBED_ROWS), so only one block is converted at a time. A
+        diverged backbone gives non-finite features without a numpy warning;
+        callers check them."""
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise InvalidArgumentError(
@@ -78,7 +83,7 @@ class Extractor:
         bounds = [i * EMBED_ROWS for i in range(max(1, n // EMBED_ROWS))] + [n]
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in zip(bounds[:-1], bounds[1:]):
-                out[lo:hi] = self._forward(np.asarray(x[lo:hi], dtype=np.float64))[0]
+                out[lo:hi] = self._forward(np.asarray(x[lo:hi], dtype=np.float32))[0]
         return out
 
     def _forward(self, x: np.ndarray):
@@ -107,24 +112,33 @@ class Extractor:
 
 
 def init(spec: ExtractorSpec) -> Extractor:
+    """A backbone with float32 parameters: weights drawn in float64 from the
+    spec's seed and rounded, biases zero."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))
+
+    def weight(rows: int, cols: int) -> np.ndarray:
+        return rng.normal(0.0, INIT_STD, size=(rows, cols)).astype(np.float32)
+
     params: dict[str, np.ndarray] = {}
     if spec.kind == "linear":
         check_addressable((spec.feature_dim, spec.input_dim))
-        params["W"] = rng.normal(0.0, INIT_STD, size=(spec.feature_dim, spec.input_dim))
-        params["b"] = np.zeros(spec.feature_dim)
+        params["W"] = weight(spec.feature_dim, spec.input_dim)
+        params["b"] = np.zeros(spec.feature_dim, dtype=np.float32)
     elif spec.kind == "mlp1":
         check_addressable((spec.hidden_dim, spec.input_dim), (spec.feature_dim, spec.hidden_dim))
-        params["W1"] = rng.normal(0.0, INIT_STD, size=(spec.hidden_dim, spec.input_dim))
-        params["b1"] = np.zeros(spec.hidden_dim)
-        params["W2"] = rng.normal(0.0, INIT_STD, size=(spec.feature_dim, spec.hidden_dim))
-        params["b2"] = np.zeros(spec.feature_dim)
+        params["W1"] = weight(spec.hidden_dim, spec.input_dim)
+        params["b1"] = np.zeros(spec.hidden_dim, dtype=np.float32)
+        params["W2"] = weight(spec.feature_dim, spec.hidden_dim)
+        params["b2"] = np.zeros(spec.feature_dim, dtype=np.float32)
     return Extractor(spec, params)
 
 
 def _ce_forward_backward(ext: Extractor, head: clf_mod.IncrementalClassifier,
                          x: np.ndarray, y: np.ndarray):
-    """Joint cross-entropy value plus gradients for head and extractor params."""
+    """Joint cross-entropy value plus gradients for head and extractor params.
+    The logits and the head's gradients are float64; the gradient reaching
+    the backbone is rounded to float32, so a float32 batch gives float32
+    backbone gradients."""
     n = x.shape[0]
     kind = ext.spec.kind
     feats, h = ext._forward(x)
@@ -135,7 +149,7 @@ def _ce_forward_backward(ext: Extractor, head: clf_mod.IncrementalClassifier,
     head_grads = {"W": d.T @ feats, "b": d.sum(axis=0)}
     ext_grads: dict[str, np.ndarray] = {}
     if kind != "identity":
-        dfeat = d @ head.W
+        dfeat = (d @ head.W).astype(np.float32)
         if kind == "linear":
             ext_grads["W"] = dfeat.T @ x
             ext_grads["b"] = dfeat.sum(axis=0)
@@ -153,13 +167,15 @@ def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg) 
 
     `data` is a TaskDataset whose train labels must already be row indices
     of `head`. Mini-batch order is reseeded per epoch from the config seed.
-    Raises InvalidStateError as soon as a step's loss is non-finite.
+    Each batch enters the backbone in float32, and Adam's moments take each
+    parameter's dtype. Raises InvalidStateError as soon as a step's loss is
+    non-finite.
     """
     from .dataio import batches  # local import to avoid a module cycle
 
     if ext.frozen:
         raise InvalidStateError("extractor is frozen; task-0 training is not allowed")
-    x_all = np.asarray(data.train_features)   # each batch is converted to float64
+    x_all = np.asarray(data.train_features)
     y_all = np.asarray(data.train_labels, dtype=np.int64)
     if y_all.min() < 0:
         raise InvalidArgumentError(f"task-0 label {y_all.min()} is negative")
@@ -172,7 +188,7 @@ def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg) 
     adam = clf_mod.new_adam_state(params, lr=cfg.lr)
     for epoch in range(cfg.epochs_task0):
         for step, idx in enumerate(batches(data, cfg.batch_size, cfg.seed, epoch)):
-            x = np.asarray(x_all[idx], dtype=np.float64)
+            x = np.asarray(x_all[idx], dtype=np.float32)
             value, head_grads, ext_grads = _ce_forward_backward(ext, head, x, y_all[idx])
             if not math.isfinite(value):
                 raise InvalidStateError(

@@ -4,22 +4,22 @@ Replay CE and TCE take a step's logits and return their gradient with
 respect to them; `total_loss` turns the summed logit gradient into the head
 gradient with one product and adds VPR's, which reads the head directly.
 
-Four losses:
+Three losses:
   * replay cross-entropy over a merged pseudo+real batch, with the
     pseudo rows' old-class logits divided by the temperature R (R < 1
     sharpens their predictions; R = 1 is no sharpening);
-  * prototype replay (old-class prototypes classified by their own rows);
-  * variational prototype replay, which adds a covariance-weighted quadratic
-    penalty to each competing denominator term;
+  * variational prototype replay: prototype replay (old-class prototypes
+    classified by their own rows) plus a covariance-weighted quadratic
+    penalty on each competing denominator term;
   * truncated cross-entropy, a softmax restricted to the current task's
     slice of the shared head.
 
-The two prototype losses read the store's packed arrays only: `ids` picks
+VPR reads the store's packed arrays only: `ids` picks
 the old classes' head rows (every id must be one), `prototypes` is their
 (No, D) mean matrix, and VPR's penalty reads the zero-padded (No * r_max, D)
 `roots` block when 2 * r_max <= D (4 * No^2 * r_max * D flops a call) and the
 store's dense (No * D, D) `covariances` otherwise (2 * No^2 * D^2 flops).
-Neither loss looks at a class one at a time.
+It never looks at a class one at a time.
 
 All reductions are means, so loss magnitudes are batch-size invariant.
 Gradients are analytic and checked against finite differences in the tests.
@@ -131,29 +131,13 @@ def _old_rows(store: PrototypeStore, clf: IncrementalClassifier) -> np.ndarray:
     return ids
 
 
-def proto_loss(store: PrototypeStore, clf: IncrementalClassifier) -> LossValueGrad:
-    """Each old prototype classified against the old-class rows only."""
-    old_ids, mu = _old_rows(store, clf), store.prototypes   # mu: (No, D)
-    wo, bo = clf.W[old_ids], clf.b[old_ids]
-    n_old = len(old_ids)
-
-    s = mu @ wo.T + bo                                  # s[k, c]
-    logp = _log_softmax(s)
-    value = float(-np.diagonal(logp).mean())
-    g = (np.exp(logp) - np.eye(n_old)) / n_old          # dL/ds
-    grad_w, grad_b = np.zeros_like(clf.W), np.zeros_like(clf.b)
-    grad_w[old_ids] = g.T @ mu
-    grad_b[old_ids] = g.sum(axis=0)
-    return LossValueGrad(value, grad_w, grad_b)
-
-
 def vpr_loss(store: PrototypeStore, clf: IncrementalClassifier,
              cfg: LossConfig) -> LossValueGrad:
     """Prototype replay with a covariance penalty on competing classes.
 
     Denominator term for competitor c against class k picks up
     gamma * (w_c - w_k)' C_k (w_c - w_k); the c = k term is exactly zero,
-    so gamma = 0 (or all-zero covariances) reduces to proto_loss.
+    so gamma = 0 (or all-zero covariances) reduces to plain prototype replay.
 
     With No old classes, D features and r_max rows per root slot (see
     `prototypes`), a call takes one of two paths, whichever needs fewer flops:

@@ -46,17 +46,3 @@ def check_addressable(*shapes) -> None:
         if math.prod(shape) * 8 > np.iinfo(np.intp).max:
             raise MemoryError(f"Unable to allocate an array of shape {shape}: "
                               "more bytes than numpy can address")
-
-
-def covariance(m) -> np.ndarray:
-    """Unbiased sample covariance (divisor N-1); zero matrix when N < 2."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] == 0:
-        raise InvalidArgumentError("covariance requires a non-empty (N, D) matrix")
-    n, d = m.shape
-    if n < 2:
-        return np.zeros((d, d))
-    centered = m - m.mean(axis=0)
-    c = centered.T @ centered / (n - 1)
-    # exact symmetry matters downstream (quadratic-form gradients)
-    return (c + c.T) / 2.0

@@ -18,7 +18,7 @@ changes no value; it costs flops only when the r_k differ.
 
 `covariances` (No * D, D) is derived from `roots` on first use and kept: class
 k's dense C_k = F_k'F_k in rows k * D to (k + 1) * D, symmetrized exactly as
-`numerics.covariance` is. VPR reads it only when 2 * r_max > D; `roots` stays
+(C_k + C_k') / 2. VPR reads it only when 2 * r_max > D; `roots` stays
 the only statistic a store is built from.
 """
 

@@ -1,6 +1,6 @@
-"""Shared test helpers: finite-difference gradients and scalar reference
+"""Shared test helpers: finite-difference gradients, scalar reference
 implementations of the losses, kept independent of the library's vectorized
-code paths."""
+code paths, and the oracles `proto_loss` and `covariance`."""
 
 import math
 
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from pgpfr.classifier import IncrementalClassifier
-from pgpfr.losses import LossValueGrad
+from pgpfr.errors import InvalidArgumentError
+from pgpfr.losses import LossValueGrad, _log_softmax, _old_rows
 from pgpfr.prototypes import PrototypeStore
 
 
@@ -77,6 +78,38 @@ def scalar_replay_ce(batch, w, b, n_old, temp) -> float:
                       for c in range(len(w))]
         total += scalar_softmax_ce(logits, int(label))
     return total / len(batch.labels)
+
+
+def proto_loss(store: PrototypeStore, clf: IncrementalClassifier) -> LossValueGrad:
+    """Plain prototype replay: each old prototype classified against the
+    old-class rows only. VPR at gamma 0 must equal it; the store is checked
+    as VPR checks it."""
+    old_ids, mu = _old_rows(store, clf), store.prototypes   # mu: (No, D)
+    wo, bo = clf.W[old_ids], clf.b[old_ids]
+    n_old = len(old_ids)
+
+    s = mu @ wo.T + bo                                  # s[k, c]
+    logp = _log_softmax(s)
+    value = float(-np.diagonal(logp).mean())
+    g = (np.exp(logp) - np.eye(n_old)) / n_old          # dL/ds
+    grad_w, grad_b = np.zeros_like(clf.W), np.zeros_like(clf.b)
+    grad_w[old_ids] = g.T @ mu
+    grad_b[old_ids] = g.sum(axis=0)
+    return LossValueGrad(value, grad_w, grad_b)
+
+
+def covariance(m) -> np.ndarray:
+    """Unbiased sample covariance (divisor N-1); zero matrix when N < 2."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] == 0:
+        raise InvalidArgumentError("covariance requires a non-empty (N, D) matrix")
+    n, d = m.shape
+    if n < 2:
+        return np.zeros((d, d))
+    centered = m - m.mean(axis=0)
+    c = centered.T @ centered / (n - 1)
+    # exact symmetry matters downstream (quadratic-form gradients)
+    return (c + c.T) / 2.0
 
 
 def dense_covariances(store: PrototypeStore) -> np.ndarray:

@@ -12,11 +12,11 @@ from pgpfr.dataio import (Dataset, load_dataset, save_dataset, split_schedule,
 from pgpfr.engine import TaskSchedule, TrainConfig, run_experiment
 from pgpfr.errors import DatasetFormatError, DatasetValidationError
 from pgpfr.extractor import ExtractorSpec
-from pgpfr.losses import LossConfig, proto_loss, vpr_loss
+from pgpfr.losses import LossConfig, vpr_loss
 from pgpfr.metrics import MetricsRecord, ifm, summarize
-from pgpfr.numerics import covariance
 from pgpfr.replay import generate_pseudo_batch
-from conftest import fd_gradients, max_rel_error, random_store
+from conftest import (covariance, fd_gradients, max_rel_error, proto_loss,
+                      random_store)
 from test_losses import make_batch, make_clf, replay_ce_head, tce_head
 
 # ---- desk-scale benchmark configuration (criterion 5) ----------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import ReferenceAdam
 from pgpfr.classifier import (BETA1, BETA2, AdamState, IncrementalClassifier,
-                              adam_step, expand, logits, new_adam_state,
+                              adam_step, expand, new_adam_state,
                               new_classifier, predict)
 from pgpfr.errors import InvalidArgumentError
 from pgpfr.losses import LossValueGrad
@@ -52,34 +52,41 @@ class TestExpand:
             expand(new_classifier(4, 2, seed=0), 0, seed=0)
 
 
+def scalar_logits(clf, row) -> list[float]:
+    """Each class's w_c . x + b_c, with plain python floats."""
+    return [sum(float(clf.W[c, j]) * float(row[j]) for j in range(clf.dim)) + float(clf.b[c])
+            for c in range(clf.n_classes)]
+
+
 class TestLogitsPredict:
     def test_zero_params(self):
+        # zero weights leave the bias as every row's logits
         clf = new_classifier(3, 2, seed=0)
         clf.W[:] = 0
-        assert np.allclose(logits(clf, [[1, 2, 3]]), 0.0)
+        clf.b[:] = [0.0, 1e-300]
+        assert predict(clf, [[1, 2, 3], [-4, 5, -6]]).tolist() == [1, 1]
 
     def test_identity_weights(self):
         clf = new_classifier(3, 3, seed=0)
         clf.W[:] = np.eye(3)
         clf.b[:] = 0
-        x = np.array([[0.5, -1.0, 2.0]])
-        assert np.allclose(logits(clf, x), x)
+        x = np.array([[0.5, -1.0, 2.0], [3.0, -1.0, 2.0], [-3.0, -1.0, -2.0]])
+        assert predict(clf, x).tolist() == [2, 0, 1]
 
     def test_scalar_oracle(self, rng):
         clf = new_classifier(4, 3, seed=2)
         clf.W[:] = rng.normal(size=(3, 4))
         clf.b[:] = rng.normal(size=3)
-        x = rng.normal(size=4)
-        got = logits(clf, x[None, :])[0]
-        want = [sum(clf.W[c, j] * x[j] for j in range(4)) + clf.b[c] for c in range(3)]
-        assert np.allclose(got, want)
+        x = rng.normal(size=(30, 4))
+        want = [int(np.argmax(scalar_logits(clf, row))) for row in x]
+        assert predict(clf, x).tolist() == want
 
     def test_predict_matches_max_scan(self, rng):
         clf = new_classifier(5, 4, seed=7)
         clf.W[:] = rng.normal(size=(4, 5))
         x = rng.normal(size=(20, 5))
-        z = logits(clf, x)
-        brute = [max(range(4), key=lambda c: z[i, c]) for i in range(20)]
+        z = [scalar_logits(clf, row) for row in x]
+        brute = [max(range(4), key=lambda c: z[i][c]) for i in range(20)]
         assert list(predict(clf, x)) == brute
 
     def test_tie_breaks_to_smallest(self):
@@ -97,7 +104,7 @@ class TestLogitsPredict:
 
     def test_dim_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            logits(new_classifier(3, 2, seed=0), [[1, 2]])
+            predict(new_classifier(3, 2, seed=0), [[1, 2]])
 
 
 class TestAdam:

@@ -166,6 +166,24 @@ class TestRun:
         assert "features are non-finite" in proc.stderr
         assert not (tmp_path / "out" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("lr", ["1e20", "1e30", "1e38", "1e39"])
+    def test_float32_backbone_range_ends_at_3_4e38(self, tmp_path, capsys, lr):
+        # the backbone is float32: one Adam step at this rate leaves weights
+        # near lr (or inf), and the second step's features pass 3.4e38
+        cfg = write_config(
+            tmp_path, synth={"classes": 4, "dim": 6, "per_class_train": 20,
+                             "per_class_test": 5, "seed": 1},
+            schedule={"k": 2, "d": 1, "n_tasks": 3},
+            train={"epochs_task0": 2, "epochs_incremental": 2, "batch_size": 8,
+                   "lr": 0.001, "seed": 0},
+            extractor={"kind": "mlp1", "feature_dim": 4, "hidden_dim": 8})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(cfg), "--set", f"train.lr={lr}"])
+        assert code == 1 and not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err == "error: task 0 diverged: loss nan at epoch 0, step 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 

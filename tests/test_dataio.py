@@ -111,9 +111,19 @@ def _record_bytes(dim: int) -> int:
     return 4 + 1 + 4 * dim   # label u32 | split u8 | dim x f32
 
 
+def _packed_at_once(ds: Dataset) -> bytes:
+    """The file as one packed array of every record writes it."""
+    records = np.empty(ds.n_samples, dtype=dataio._record_dtype(ds.dim))
+    records["label"] = ds.labels
+    records["split"] = ds.split
+    records["features"] = ds.features
+    return b"PGFR" + struct.pack("<IQI", 1, ds.n_samples, ds.dim) + records.tobytes()
+
+
 class TestBlockLoader:
-    """load_dataset reads records in blocks of READ_BLOCK_BYTES; a file of
-    several blocks and a partial tail must load as if read at once."""
+    """save_dataset writes and load_dataset reads records in blocks of
+    READ_BLOCK_BYTES; a file of several blocks and a partial tail must equal
+    one packed array of every record and load as if read at once."""
 
     def test_round_trip_longer_than_one_read_block(self, tmp_path):
         # 1,024-wide records: 255 per 1 MiB block, so 600 records end in a 90-record tail
@@ -122,6 +132,7 @@ class TestBlockLoader:
         assert ds.n_samples > 2 * per_block and ds.n_samples % per_block
         p = tmp_path / "big.pgfr"
         save_dataset(ds, p)
+        assert p.read_bytes() == _packed_at_once(ds)
         loaded = load_dataset(p)
         for a, b in ((loaded.features, ds.features), (loaded.labels, ds.labels),
                      (loaded.split, ds.split)):
@@ -133,6 +144,7 @@ class TestBlockLoader:
         monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", per_block * _record_bytes(3))
         p = tmp_path / "d.pgfr"
         save_dataset(ds, p)
+        assert p.read_bytes() == _packed_at_once(ds)
         loaded = load_dataset(p)
         assert loaded.features.tobytes() == ds.features.tobytes()
         assert np.array_equal(loaded.labels, ds.labels)
@@ -194,6 +206,35 @@ class TestBlockLoader:
         p.write_bytes(bytes(raw))
         with pytest.raises(DatasetValidationError, match=f"at sample {sample}$"):
             load_dataset(p)
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("n", [0, 15])
+    def test_bytes_equal_one_packed_array(self, tmp_path, monkeypatch, n):
+        # blocks of 4 records end in a partial one of 3; labels reach the
+        # largest u32
+        monkeypatch.setattr(dataio, "READ_BLOCK_BYTES", 4 * _record_bytes(3))
+        ds = synth_gaussian(5, 3, 2, 1, 2.0, seed=1)
+        ids = np.array([0, 7, 2 ** 16, 2 ** 31, 2 ** 32 - 1])
+        ds = Dataset(ds.features[:n], ids[ds.labels[:n]], ds.split[:n])
+        p = tmp_path / "d.pgfr"
+        save_dataset(ds, p)
+        assert p.read_bytes() == _packed_at_once(ds)
+
+    def test_allocates_one_block_not_the_records(self, tmp_path):
+        # 5,000 records of 1,029 bytes, about 5 blocks; the writer holds one
+        # block of them, plus the file object's small buffers
+        ds = synth_gaussian(5, 256, 800, 200, 2.0, seed=3)
+        p = tmp_path / "d.pgfr"
+        save_dataset(ds, p)   # the first call imports modules numpy loads lazily
+        tracemalloc.start()
+        try:
+            save_dataset(ds, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n_samples * _record_bytes(256) > 4 * dataio.READ_BLOCK_BYTES
+        assert peak < 2 * dataio.READ_BLOCK_BYTES
 
 
 class TestValidate:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import ReferenceAdam
-from pgpfr.classifier import new_classifier
+from pgpfr import classifier as clf_mod
+from pgpfr.classifier import new_adam_state, new_classifier
 from pgpfr.dataio import TaskDataset, batches
 from pgpfr.engine import TrainConfig
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
@@ -11,13 +12,14 @@ from pgpfr.extractor import (EMBED_ROWS, Extractor, ExtractorSpec,
 
 
 def make_task(rng, n_classes=2, dim=4, per_class=40, sep=8.0):
+    """A task-0 split with float32 features, as `dataio` stores them."""
     means = rng.normal(size=(n_classes, dim))
     means = means / np.linalg.norm(means, axis=1, keepdims=True) * sep
     feats, labels = [], []
     for c in range(n_classes):
         feats.append(means[c] + rng.normal(size=(per_class, dim)))
         labels.append(np.full(per_class, c))
-    feats, labels = np.vstack(feats), np.concatenate(labels)
+    feats, labels = np.vstack(feats).astype(np.float32), np.concatenate(labels)
     return TaskDataset(0, tuple(range(n_classes)), feats, labels, feats, labels)
 
 
@@ -90,7 +92,7 @@ class TestEmbedRowBlocks:
         x = rng.normal(size=(n, 48)).astype(np.float32)
         got = e.embed_batch(x)
         assert got.dtype == np.float64 and got.shape == (n, 16)
-        assert got.tobytes() == e._forward(x.astype(np.float64))[0].tobytes()
+        assert got.tobytes() == e._forward(x)[0].astype(np.float64).tobytes()
 
     def test_empty_batch(self):
         e = init(ExtractorSpec("mlp1", 4, 3, hidden_dim=5))
@@ -155,31 +157,54 @@ class TestTrainTask0:
                 pytest.raises(InvalidStateError, match=r"task 0 .*epoch 0, step \d"):
             train_task0(e, make_task(rng), head, cfg)
 
+    @staticmethod
+    def _loop(spec, task, cfg, adam_for):
+        """A backbone and head trained by a plain loop over train_task0's
+        float32 batches, joint gradients and one optimizer from adam_for."""
+        e, head = init(spec), new_classifier(spec.feature_dim, 3, seed=0)
+        params = {"head." + k: p for k, p in head.params.items()}
+        params.update({"backbone." + k: p for k, p in e.params.items()})
+        adam = adam_for(params)
+        for epoch in range(cfg.epochs_task0):
+            for idx in batches(task, cfg.batch_size, cfg.seed, epoch):
+                _, head_grads, ext_grads = _ce_forward_backward(
+                    e, head, task.train_features[idx], task.train_labels[idx])
+                grads = {"head." + k: g for k, g in head_grads.items()}
+                grads.update({"backbone." + k: g for k, g in ext_grads.items()})
+                adam.update(params, grads)
+        return e, head, adam
+
     def test_matches_loop_with_textbook_adam(self, rng):
         # train_task0's folded Adam against the bias-corrected reference over
-        # the same joint gradients and batch order
+        # the same gradients and batch order, on the identity backbone, whose
+        # whole path after the float32 input is float64
+        task = make_task(rng, n_classes=3, dim=4, per_class=20)
+        cfg = TrainConfig(epochs_task0=4, batch_size=16, lr=0.01, seed=1)
+        spec = ExtractorSpec("identity", 4, 4)
+        e, head = init(spec), new_classifier(4, 3, seed=0)
+        train_task0(e, task, head, cfg)
+
+        _, ref_head, adam = self._loop(spec, task, cfg, lambda p: ReferenceAdam(p, cfg.lr))
+        assert adam.t == 4 * 4
+        assert head.W.dtype == head.b.dtype == np.float64
+        np.testing.assert_allclose(head.W, ref_head.W, rtol=1e-10)
+        np.testing.assert_allclose(head.b, ref_head.b, rtol=1e-10)
+
+    def test_mlp1_bitwise_equal_to_loop_of_its_steps(self, rng):
+        # the float32 backbone: train_task0 is exactly a loop of joint
+        # gradients on its float32 batches plus the library's Adam
         task = make_task(rng, n_classes=3, dim=4, per_class=20)
         cfg = TrainConfig(epochs_task0=4, batch_size=16, lr=0.01, seed=1)
         spec = ExtractorSpec("mlp1", 4, 3, hidden_dim=5, seed=2)
         e, head = init(spec), new_classifier(3, 3, seed=0)
         train_task0(e, task, head, cfg)
 
-        ref_e, ref_head = init(spec), new_classifier(3, 3, seed=0)
-        params = {"head." + k: p for k, p in ref_head.params.items()}
-        params.update({"backbone." + k: p for k, p in ref_e.params.items()})
-        adam = ReferenceAdam(params, cfg.lr)
-        for epoch in range(cfg.epochs_task0):
-            for idx in batches(task, cfg.batch_size, cfg.seed, epoch):
-                _, head_grads, ext_grads = _ce_forward_backward(
-                    ref_e, ref_head, task.train_features[idx], task.train_labels[idx])
-                grads = {"head." + k: g for k, g in head_grads.items()}
-                grads.update({"backbone." + k: g for k, g in ext_grads.items()})
-                adam.update(params, grads)
-        assert adam.t == 4 * 4
-        for name in e.params:
-            np.testing.assert_allclose(e.params[name], ref_e.params[name], rtol=1e-10)
-        np.testing.assert_allclose(head.W, ref_head.W, rtol=1e-10)
-        np.testing.assert_allclose(head.b, ref_head.b, rtol=1e-10)
+        ref_e, ref_head, adam = self._loop(
+            spec, task, cfg, lambda p: new_adam_state(p, lr=cfg.lr))
+        assert adam.step_count == 4 * 4
+        assert e.snapshot() == ref_e.snapshot() != init(spec).snapshot()
+        assert head.W.tobytes() == ref_head.W.tobytes()
+        assert head.b.tobytes() == ref_head.b.tobytes()
 
     def test_separable_classes_learned(self, rng):
         # two Gaussian classes far apart are closed-form separable; the
@@ -215,3 +240,54 @@ class TestTrainTask0:
                 fd = (up - down) / (2 * h)
                 denom = max(abs(fd), abs(g[idx]), 1e-6)
                 assert abs(g[idx] - fd) / denom < 1e-4, f"{name}{idx}"
+
+
+class TestDtypes:
+    """linear and mlp1 are float32 end to end; the head and every feature
+    after embedding are float64."""
+
+    @pytest.mark.parametrize("kind, names", [("linear", ["W", "b"]),
+                                             ("mlp1", ["W1", "W2", "b1", "b2"])])
+    def test_init_parameters_are_float32(self, kind, names):
+        e = init(ExtractorSpec(kind, 4, 3, hidden_dim=5 if kind == "mlp1" else 0, seed=1))
+        assert sorted(e.params) == names
+        assert all(p.dtype == np.float32 for p in e.params.values())
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    def test_backbone_gradients_float32_head_gradients_float64(self, rng, kind):
+        e = init(ExtractorSpec(kind, 4, 3, hidden_dim=5 if kind == "mlp1" else 0, seed=1))
+        head = new_classifier(3, 3, seed=0)
+        x = rng.normal(size=(8, 4)).astype(np.float32)
+        value, head_grads, ext_grads = _ce_forward_backward(e, head, x, rng.integers(0, 3, 8))
+        assert isinstance(value, float)
+        assert {k: g.dtype for k, g in head_grads.items()} == {"W": np.float64, "b": np.float64}
+        assert sorted(ext_grads) == sorted(e.params)
+        assert all(g.dtype == np.float32 for g in ext_grads.values())
+
+    def test_adam_backbone_moments_are_float32(self, rng, monkeypatch):
+        states = []
+
+        def recorded(params, lr=0.001):
+            states.append(new_adam_state(params, lr))
+            return states[-1]
+
+        monkeypatch.setattr(clf_mod, "new_adam_state", recorded)
+        e = init(ExtractorSpec("mlp1", 4, 3, hidden_dim=5, seed=2))
+        train_task0(e, make_task(rng, dim=4), new_classifier(3, 2, seed=0),
+                    TrainConfig(epochs_task0=1, batch_size=16, seed=0))
+        (state,) = states
+        assert state.step_count == 5
+        for moments in (state.m, state.v):
+            assert {k: a.dtype for k, a in moments.items()} == {
+                "head.W": np.float64, "head.b": np.float64,
+                "backbone.W1": np.float32, "backbone.b1": np.float32,
+                "backbone.W2": np.float32, "backbone.b2": np.float32}
+        assert all(p.dtype == np.float32 for p in e.params.values())
+
+    @pytest.mark.parametrize("kind", ["identity", "linear", "mlp1"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embed_batch_returns_float64(self, rng, kind, dtype):
+        feature_dim = 4 if kind == "identity" else 3
+        e = init(ExtractorSpec(kind, 4, feature_dim, hidden_dim=5 if kind == "mlp1" else 0))
+        out = e.embed_batch(rng.normal(size=(7, 4)).astype(dtype))
+        assert out.dtype == np.float64 and out.shape == (7, feature_dim)

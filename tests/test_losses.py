@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from pgpfr.classifier import adam_step, new_adam_state, new_classifier
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
-from pgpfr.losses import (LossConfig, LossValueGrad, proto_loss,
-                          replay_ce_loss, tce_loss, total_loss, vpr_loss)
+from pgpfr.losses import (LossConfig, LossValueGrad, replay_ce_loss, tce_loss,
+                          total_loss, vpr_loss)
 from pgpfr.prototypes import PrototypeStore, fit_class_statistics, register
 from pgpfr.replay import MergedBatch, generate_pseudo_batch
-from conftest import (fd_gradients, max_rel_error, random_store,
+from conftest import (fd_gradients, max_rel_error, proto_loss, random_store,
                       scalar_replay_ce, scalar_vpr)
 
 

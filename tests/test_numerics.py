@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError
-from pgpfr.numerics import check_addressable, cosine_sim, covariance
+from pgpfr.numerics import check_addressable, cosine_sim
+from conftest import covariance
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 

@@ -4,10 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
-from pgpfr.numerics import cosine_sim, covariance
+from pgpfr.numerics import cosine_sim
 from pgpfr.prototypes import PrototypeStore, fit_class_statistics, register
 from pgpfr.replay import generate_pseudo_batch
-from conftest import dense_covariances, random_store
+from conftest import covariance, dense_covariances, random_store
 
 
 class TestFitClassStatistics:

@@ -4,10 +4,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
-from pgpfr.numerics import ZERO_NORM_EPS, covariance
+from pgpfr.numerics import ZERO_NORM_EPS
 from pgpfr.prototypes import PrototypeStore
 from pgpfr.replay import generate_pseudo_batch, merge
-from conftest import random_store
+from conftest import covariance, random_store
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_subnormal=False)
 
