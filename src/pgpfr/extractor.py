@@ -5,14 +5,17 @@ frozen and every later task sees the exact same feature space. That
 stability is what keeps stored class statistics valid across tasks.
 
 The `linear` and `mlp1` backbones are float32 end to end: their parameters,
-their task-0 gradients and Adam moments, and their forward pass. Task-0
-training feeds each float32 mini-batch as it comes, and
+their task-0 gradients and Adam moments, and their forward pass. Their weights
+are stored input-major, (in, out), so the forward pass is `x @ W`, which reads
+no weight transposed, and the weight gradient is `x.T @ d`. Task-0 training
+rounds each mini-batch to float32 (a float32 batch as it comes), and
 `Extractor.embed_batch` embeds one block of EMBED_ROWS rows at a time in
-float32 into one preallocated float64 output; `identity` copies its input
-to float64. Everything after the backbone (the head, the losses, the
-prototype store) is float64. The float32 backbone's range ends at 3.4e38: a
-task-0 step that leaves it gives a non-finite loss, and training stops as
-diverged.
+float32 into one preallocated float64 output; `identity` rounds its input to
+float32 the same way and returns it as float64, so the head trains and is
+evaluated on the same features. Everything after the backbone (the head, the
+losses, the prototype store) is float64. The float32 backbone's range ends at
+3.4e38: a task-0 step that leaves it gives a non-finite loss, and training
+stops as diverged.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ class Extractor:
 
     def embed_batch(self, x) -> np.ndarray:
         """Float64 features of the (N, input_dim) batch x, bitwise equal to
-        one `_forward` over all of x in float32. The identity backbone makes
-        one float64 copy; the others run their float32 forward pass per row
+        one `_forward` over all of x in float32. The identity backbone
+        rounds x to float32, as task-0 training does, and makes one float64
+        copy of that; the others run their float32 forward pass per row
         block (see EMBED_ROWS), so only one block is converted at a time. A
         diverged backbone gives non-finite features without a numpy warning;
         callers check them."""
@@ -77,7 +81,7 @@ class Extractor:
             raise InvalidArgumentError(
                 f"input must be (N, {self.spec.input_dim}), got {x.shape}")
         if self.spec.kind == "identity":
-            return np.array(x, dtype=np.float64)
+            return np.asarray(x, dtype=np.float32).astype(np.float64)
         n = x.shape[0]
         out = np.empty((n, self.spec.feature_dim))
         bounds = [i * EMBED_ROWS for i in range(max(1, n // EMBED_ROWS))] + [n]
@@ -92,11 +96,11 @@ class Extractor:
         if self.spec.kind == "identity":
             return x.copy(), None
         if self.spec.kind == "linear":
-            return x @ self.params["W"].T + self.params["b"], None
-        h = x @ self.params["W1"].T   # in place from here: no second (N, hidden) array
+            return x @ self.params["W"] + self.params["b"], None
+        h = x @ self.params["W1"]   # in place from here: no second (N, hidden) array
         h += self.params["b1"]
         np.maximum(h, 0.0, out=h)
-        return h @ self.params["W2"].T + self.params["b2"], h
+        return h @ self.params["W2"] + self.params["b2"], h
 
     def freeze(self) -> "Extractor":
         self.frozen = True
@@ -113,22 +117,26 @@ class Extractor:
 
 def init(spec: ExtractorSpec) -> Extractor:
     """A backbone with float32 parameters: weights drawn in float64 from the
-    spec's seed and rounded, biases zero."""
+    spec's seed and rounded, biases zero. Each weight is stored input-major,
+    (in, out), so the forward pass multiplies by it untransposed; it is drawn
+    as (out, in) and transposed once, so each layer's values do not depend
+    on the layout."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))
 
-    def weight(rows: int, cols: int) -> np.ndarray:
-        return rng.normal(0.0, INIT_STD, size=(rows, cols)).astype(np.float32)
+    def weight(n_in: int, n_out: int) -> np.ndarray:
+        w = rng.normal(0.0, INIT_STD, size=(n_out, n_in)).astype(np.float32)
+        return np.ascontiguousarray(w.T)
 
     params: dict[str, np.ndarray] = {}
     if spec.kind == "linear":
         check_addressable((spec.feature_dim, spec.input_dim))
-        params["W"] = weight(spec.feature_dim, spec.input_dim)
+        params["W"] = weight(spec.input_dim, spec.feature_dim)
         params["b"] = np.zeros(spec.feature_dim, dtype=np.float32)
     elif spec.kind == "mlp1":
         check_addressable((spec.hidden_dim, spec.input_dim), (spec.feature_dim, spec.hidden_dim))
-        params["W1"] = weight(spec.hidden_dim, spec.input_dim)
+        params["W1"] = weight(spec.input_dim, spec.hidden_dim)
         params["b1"] = np.zeros(spec.hidden_dim, dtype=np.float32)
-        params["W2"] = weight(spec.feature_dim, spec.hidden_dim)
+        params["W2"] = weight(spec.hidden_dim, spec.feature_dim)
         params["b2"] = np.zeros(spec.feature_dim, dtype=np.float32)
     return Extractor(spec, params)
 
@@ -151,13 +159,13 @@ def _ce_forward_backward(ext: Extractor, head: clf_mod.IncrementalClassifier,
     if kind != "identity":
         dfeat = (d @ head.W).astype(np.float32)
         if kind == "linear":
-            ext_grads["W"] = dfeat.T @ x
+            ext_grads["W"] = x.T @ dfeat
             ext_grads["b"] = dfeat.sum(axis=0)
         else:
-            ext_grads["W2"] = dfeat.T @ h
+            ext_grads["W2"] = h.T @ dfeat
             ext_grads["b2"] = dfeat.sum(axis=0)
-            dh = (dfeat @ ext.params["W2"]) * (h > 0)  # h > 0 exactly where the ReLU passed
-            ext_grads["W1"] = dh.T @ x
+            dh = (dfeat @ ext.params["W2"].T) * (h > 0)  # h > 0 exactly where the ReLU passed
+            ext_grads["W1"] = x.T @ dh
             ext_grads["b1"] = dh.sum(axis=0)
     return value, head_grads, ext_grads
 

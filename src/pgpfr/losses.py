@@ -18,8 +18,10 @@ VPR reads the store's packed arrays only: `ids` picks
 the old classes' head rows (every id must be one), `prototypes` is their
 (No, D) mean matrix, and VPR's penalty reads the zero-padded (No * r_max, D)
 `roots` block when 2 * r_max <= D (4 * No^2 * r_max * D flops a call) and the
-store's dense (No * D, D) `covariances` otherwise (2 * No^2 * D^2 flops).
-It never looks at a class one at a time.
+store's dense (D, No * D) `covariances` block [C_1 ... C_No] otherwise
+(2 * No^2 * D^2 flops, one untransposed product, then three batched
+contractions of its (No, No, D) result). It never looks at a class one at a
+time.
 
 All reductions are means, so loss magnitudes are batch-size invariant.
 Gradients are analytic and checked against finite differences in the tests.
@@ -146,10 +148,17 @@ def vpr_loss(store: PrototypeStore, clf: IncrementalClassifier,
         (No, No * r_max) x (No * r_max, D) products over the zero-padded root
         block, 4 * No^2 * r_max * D flops. Zero rows add exactly 0, so a
         class with n_k < 2 keeps q = 0.
-      * dense path, 2 * r_max > D: one (No, D) x (D, No * D) product against
-        the store's dense `covariances` gives C_k w_c for every pair,
-        2 * No^2 * D^2 flops; the penalty and its gradient are batched
-        reductions of that product, with no second product.
+      * dense path, 2 * r_max > D: one untransposed (No, D) x (D, No * D)
+        product against the store's dense `covariances` block gives
+        t[c, k] = C_k w_c for every pair, 2 * No^2 * D^2 flops, and its
+        diagonal u_k = C_k w_k. By linearity, with g[c, k] = w_c'u_k,
+          q[k, c] = w_c't[c, k] - 2 g[c, k] + g[k, k]   (q[k, k] set to 0),
+          pen[c] = sum_k p_k[c] t[c, k] - sum_k p_k[c] u_k
+                   - sum_c' p_c[c'] t[c', c] + (sum_c' p_c[c']) u_c,
+        where the three sums over t are batched matrix-vector products
+        (`np.matmul`), one pass over t each; no (w_c - w_k) difference
+        block is formed. Reading each C_k untransposed relies on its exact
+        symmetry.
     """
     old_ids = _old_rows(store, clf)
     gamma = cfg.gamma
@@ -158,24 +167,29 @@ def vpr_loss(store: PrototypeStore, clf: IncrementalClassifier,
     n_old, dim = mu.shape
     diag = np.arange(n_old)
     dense = 2 * store.r_max > dim
-    m = store.covariances if dense else store.roots    # rows of every C_k, or of every F_k
-
-    t = (wo @ m.T).reshape(n_old, n_old, len(m) // n_old)  # t[c, k] = C_k w_c, or F_k w_c
-    t -= t[diag, diag]                                  # t[c, k] = C_k (w_c - w_k), or F_k (w_c - w_k)
-    if dense:                                           # q[k, c] = (w_c - w_k)' C_k (w_c - w_k)
-        q = np.einsum("cj,ckj->kc", wo, t) - np.einsum("kj,ckj->kc", wo, t)
+    # q[k, c] = (w_c - w_k)' C_k (w_c - w_k)
+    if dense:
+        t = (wo @ store.covariances).reshape(n_old, n_old, dim)  # t[c, k] = C_k w_c
+        u = t[diag, diag]                               # u[k] = C_k w_k
+        g = wo @ u.T                                    # g[c, k] = w_c' C_k w_k
+        q = (np.matmul(t, wo[:, :, None])[:, :, 0] - 2.0 * g).T + g[diag, diag, None]
+        q[diag, diag] = 0.0
     else:
+        t = (wo @ store.roots.T).reshape(n_old, n_old, store.r_max)  # t[c, k] = F_k w_c
+        t -= t[diag, diag]                              # t[c, k] = F_k (w_c - w_k)
         q = np.einsum("ckj,ckj->kc", t, t)
     logp = _log_softmax(mu @ wo.T + bo + gamma * q)     # logp[k]: log-softmax row of class k
     probs = np.exp(logp)
     # pen[c] = sum_k p_k[c] C_k (w_c - w_k) - sum_c' p_c[c'] C_c (w_c' - w_c),
     # the second sum because w_k is in every penalty term of class k
     if dense:
-        pen = np.einsum("kc,ckj->cj", probs, t) - np.einsum("ck,kcj->cj", probs, t)
+        pen = (np.matmul(probs.T[:, None, :], t)[:, 0] - probs.T @ u
+               - np.matmul(probs[:, None, :], t.transpose(1, 0, 2))[:, 0]
+               + probs.sum(axis=1)[:, None] * u)
     else:
         t *= probs.T[:, :, None]                        # p_k[c] * t[c, k, j]
         t[diag, diag] -= t.sum(axis=0)
-        pen = t.reshape(n_old, len(m)) @ m
+        pen = t.reshape(n_old, -1) @ store.roots
 
     value = -float(np.trace(logp))                      # logp[k, k]: class k at its own prototype
     # d s_c / d w_c = mu_k + 2 gamma C_k (w_c - w_k): the prototype part sums

@@ -16,10 +16,12 @@ k * r_max to (k + 1) * r_max: its r_k root rows first, zero rows after, r_max
 the largest r_k. Zero rows add exactly 0 to VPR's penalty, so the padding
 changes no value; it costs flops only when the r_k differ.
 
-`covariances` (No * D, D) is derived from `roots` on first use and kept: class
-k's dense C_k = F_k'F_k in rows k * D to (k + 1) * D, symmetrized exactly as
-(C_k + C_k') / 2. VPR reads it only when 2 * r_max > D; `roots` stays
-the only statistic a store is built from.
+`covariances` (D, No * D) is derived from `roots` on first use and kept: the
+C-contiguous row of blocks [C_1 ... C_No], class k's dense C_k = F_k'F_k in
+columns k * D to (k + 1) * D, symmetrized exactly as (C_k + C_k') / 2. Each
+C_k is exactly symmetric, so `w @ covariances` holds C_k w for every class k
+as one untransposed product. VPR reads it only when 2 * r_max > D; `roots`
+stays the only statistic a store is built from.
 """
 
 from __future__ import annotations
@@ -65,13 +67,17 @@ class PrototypeStore:
 
     @cached_property
     def covariances(self) -> np.ndarray:
-        """Read-only (No * D, D) block of the dense covariances, built once."""
+        """Read-only (D, No * D) block [C_1 ... C_No] of the dense
+        covariances, built once."""
         dim = self.prototypes.shape[1]
         f = self.roots.reshape(len(self), self.r_max, dim)
         c = f.transpose(0, 2, 1) @ f
-        c = ((c + c.transpose(0, 2, 1)) / 2.0).reshape(len(self) * dim, dim)
-        c.flags.writeable = False
-        return c
+        block = np.empty((dim, len(self), dim))   # block[:, k] = C_k
+        np.add(c, c.transpose(0, 2, 1), out=block.transpose(1, 0, 2))
+        block /= 2.0
+        block = block.reshape(dim, len(self) * dim)
+        block.flags.writeable = False
+        return block
 
 
 def _group_means(features, labels, caller: str):

@@ -7,7 +7,7 @@ from pgpfr.classifier import new_adam_state, new_classifier
 from pgpfr.dataio import TaskDataset, batches
 from pgpfr.engine import TrainConfig
 from pgpfr.errors import InvalidArgumentError, InvalidStateError
-from pgpfr.extractor import (EMBED_ROWS, Extractor, ExtractorSpec,
+from pgpfr.extractor import (EMBED_ROWS, INIT_STD, Extractor, ExtractorSpec,
                              _ce_forward_backward, init, train_task0)
 
 
@@ -51,6 +51,15 @@ class TestEmbed:
     def test_identity_passthrough(self):
         e = init(ExtractorSpec("identity", 3, 3))
         assert np.allclose(e.embed_batch([[1, 2, 3]]), [[1, 2, 3]])
+
+    def test_identity_rounds_through_float32(self, rng):
+        """identity features are the float32 rows task-0 training sees, as
+        float64: a float64 batch is rounded, not passed through."""
+        x = rng.normal(size=(6, 3))
+        assert not np.array_equal(x.astype(np.float32), x)
+        got = init(ExtractorSpec("identity", 3, 3)).embed_batch(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, x.astype(np.float32).astype(np.float64))
 
     def test_linear_identity_params(self):
         e = init(ExtractorSpec("linear", 3, 3))
@@ -252,6 +261,19 @@ class TestDtypes:
         e = init(ExtractorSpec(kind, 4, 3, hidden_dim=5 if kind == "mlp1" else 0, seed=1))
         assert sorted(e.params) == names
         assert all(p.dtype == np.float32 for p in e.params.values())
+
+    @pytest.mark.parametrize("kind, shapes", [("linear", {"W": (4, 3)}),
+                                              ("mlp1", {"W1": (4, 5), "W2": (5, 3)})])
+    def test_weights_are_input_major(self, kind, shapes):
+        """Each weight is (in, out) and C-contiguous, the transpose of the
+        (out, in) draw from the spec's seed."""
+        e = init(ExtractorSpec(kind, 4, 3, hidden_dim=5 if kind == "mlp1" else 0, seed=1))
+        rng = np.random.default_rng(np.random.SeedSequence([1, 2]))
+        for name, (n_in, n_out) in shapes.items():
+            w = e.params[name]
+            drawn = rng.normal(0.0, INIT_STD, size=(n_out, n_in)).astype(np.float32)
+            assert w.shape == (n_in, n_out) and w.flags.c_contiguous
+            assert np.array_equal(w, drawn.T)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
     def test_backbone_gradients_float32_head_gradients_float64(self, rng, kind):

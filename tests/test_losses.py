@@ -368,6 +368,8 @@ class TestVprPaths:
     @example(dim=4, counts=[2], gamma=1.0, seed=0)           # No = 1
     @example(dim=5, counts=[1, 1, 1], gamma=1.0, seed=1)     # every slot empty
     @example(dim=8, counts=[1, 4, 2, 3], gamma=0.0, seed=2)  # uneven r_k, gamma = 0
+    @example(dim=64, counts=[32] * 20, gamma=1.0, seed=3)    # backbone's shapes: D = 64,
+    @example(dim=64, counts=[32] * 40, gamma=1.0, seed=4)    # No = 20 and 40
     @settings(max_examples=80, deadline=None)
     def test_zero_padding_across_the_rule_changes_nothing(self, dim, counts, gamma, seed):
         """Padding every slot with zero rows until 2 * r_max > D keeps every

@@ -72,12 +72,14 @@ def batch_prototypes(features, labels, batch_sizes=None) -> np.ndarray:
 
 
 class TestDerivedCovariances:
-    """The (No * D, D) dense covariance block a store derives from its roots."""
+    """The (D, No * D) dense covariance block [C_1 ... C_No] a store derives
+    from its roots."""
 
     def test_matches_the_roots(self, rng):
         store = fit_class_statistics(rng.normal(size=(23, 5)), np.repeat([4, 0, 9], [1, 12, 10]))
-        block = store.covariances.reshape(3, 5, 5)
-        assert store.covariances.shape == (3 * 5, 5)
+        assert store.covariances.shape == (5, 3 * 5)
+        assert store.covariances.flags.c_contiguous
+        block = store.covariances.reshape(5, 3, 5).transpose(1, 0, 2)
         assert np.abs(block - dense_covariances(store)).max() < 1e-12
         assert all(np.array_equal(c, c.T) for c in block)
         assert block[0].any() and not block[1].any()   # class 4 has one row: zero
