@@ -6,12 +6,12 @@ from .dataio import (Dataset, TaskDataset, batches, load_csv, load_dataset,
                      save_dataset, split_schedule, synth_gaussian)
 from .engine import (ExperimentState, TaskSchedule, TrainConfig,
                      run_experiment, run_incremental_task, run_task0)
-from .extractor import Extractor, ExtractorSpec, init as init_extractor, train_task0
+from .extractor import Extractor, ExtractorSpec, train_task0
 from .losses import (LossConfig, LossValueGrad, replay_ce_loss, tce_loss,
                      total_loss, vpr_loss)
 from .metrics import MetricsRecord, accuracy, ifm, summarize
 from .numerics import cosine_sim
 from .prototypes import PrototypeStore, fit_class_statistics, register
-from .replay import MergedBatch, PseudoBatch, generate_pseudo_batch, merge
+from .replay import generate_pseudo_batch, merge
 
 __version__ = "0.1.0"

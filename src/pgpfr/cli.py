@@ -132,13 +132,7 @@ def _build_dataset(cfg: dict) -> Dataset:
         if str(path).endswith(".csv"):
             return load_csv(path)
         return load_dataset(path)
-    s = cfg["synth"]
-    return synth_gaussian(
-        classes=s["classes"], dim=s["dim"],
-        per_class_train=s.get("per_class_train", 100),
-        per_class_test=s.get("per_class_test", 25),
-        separation=s.get("separation", 10.0),
-        seed=s.get("seed", 0))
+    return synth_gaussian(**cfg["synth"])
 
 
 def _build_extractor_spec(cfg: dict, ds: Dataset) -> ExtractorSpec:
@@ -199,8 +193,8 @@ def cmd_run(config_path: str, overrides: list[str] | None = None) -> int:
 
 def cmd_synth(args) -> int:
     try:
-        ds = synth_gaussian(args.classes, args.dim, args.per_class_train,
-                            args.per_class_test, args.separation, args.seed)
+        ds = synth_gaussian(**{k: v for k, v in vars(args).items()
+                               if k not in ("command", "out")})
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -241,13 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECTION.KEY=VALUE",
                        help="override a config value (repeatable)")
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset file")
+    # a flag left out is not passed on, so synth_gaussian's default applies
+    p_synth = sub.add_parser("synth", help="generate a synthetic dataset file",
+                             argument_default=argparse.SUPPRESS)
     p_synth.add_argument("--classes", type=int, default=10)
     p_synth.add_argument("--dim", type=int, default=16)
-    p_synth.add_argument("--per-class-train", type=int, default=200)
-    p_synth.add_argument("--per-class-test", type=int, default=50)
-    p_synth.add_argument("--separation", type=float, default=10.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--per-class-train", type=int)
+    p_synth.add_argument("--per-class-test", type=int)
+    p_synth.add_argument("--separation", type=float)
+    p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--out", required=True)
 
     p_inspect = sub.add_parser("inspect", help="print dataset header and histogram")

@@ -285,10 +285,12 @@ def batches(td: TaskDataset, batch_size: int, seed: int, epoch: int) -> list[np.
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def synth_gaussian(classes: int, dim: int, per_class_train: int, per_class_test: int,
-                   separation: float, seed: int) -> Dataset:
+def synth_gaussian(classes: int, dim: int, per_class_train: int = 200,
+                   per_class_test: int = 50, separation: float = 10.0,
+                   seed: int = 0) -> Dataset:
     """Gaussian-mixture benchmark: class means on the radius-`separation`
-    sphere, unit isotropic noise, train/test drawn independently."""
+    sphere, unit isotropic noise, train/test drawn independently. `pgpfr
+    synth` flags and a config's `synth` keys left out take these defaults."""
     if classes < 1 or dim < 1 or per_class_train < 1 or per_class_test < 1:
         raise InvalidArgumentError("synth_gaussian requires positive counts and dims")
     if not (separation >= 0 and np.isfinite(separation)):

@@ -10,8 +10,9 @@ to the float32 backbone as it is), and each task's split is cut from the
 dataset only when its turn comes. Every later task
 expands the head, trains it per batch on merged pseudo+real features with
 the configured losses, and registers the new classes' statistics at the
-end. A step computes its logits once, and the head gradient of every loss
-in one product plus VPR's. Labels arrive as head rows (see
+end. A step's batch is two arrays, features and labels, with its pseudo
+rows first. It computes its logits once, and the head gradient of every
+loss in one product plus VPR's. Labels arrive as head rows (see
 `dataio.TaskDataset`).
 """
 
@@ -30,7 +31,7 @@ from .losses import (LossConfig, replay_ce_loss, tce_loss, total_loss,
                      vpr_loss)
 from .metrics import MetricsRecord, accuracy, ifm
 from .prototypes import PrototypeStore, fit_class_statistics, register
-from .replay import PseudoBatch, generate_pseudo_batch, merge
+from .replay import generate_pseudo_batch, merge
 
 
 @dataclass
@@ -137,11 +138,13 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset, cfg: TrainCo
     The train set is embedded once up front. Each epoch gathers its rows in
     batch order and makes all their pseudo rows in one call: per batch, or
     over the whole epoch under the whole-task ablation. Each step slices its
-    rows, merges them and scores them with one logits product. Replay CE
-    and TCE add their gradients into one dlogits, and one Adam step takes the
-    head gradient `total_loss` makes from it and VPR. The backbone and the
-    prototype store are read-only throughout. A non-finite step loss or head
-    raises InvalidStateError.
+    pseudo rows (none without replay) and its real rows, merges them into
+    one features array and one labels array, and scores them with one
+    logits product; its pseudo row count is where the losses split them.
+    Replay CE and TCE add their gradients into one dlogits, and one Adam
+    step takes the head gradient `total_loss` makes from it and VPR. The
+    backbone and the prototype store are read-only throughout. A non-finite
+    step loss or head raises InvalidStateError.
     """
     if not state.extractor.frozen:
         raise InvalidStateError("incremental task before task 0 (extractor not frozen)")
@@ -161,23 +164,23 @@ def run_incremental_task(state: ExperimentState, data: TaskDataset, cfg: TrainCo
         idx = batches(data, cfg.batch_size, cfg.seed, epoch)
         order, sizes = np.concatenate(idx), [len(i) for i in idx]
         feats, y = feats_all[order], data.train_labels[order]
+        pseudo_x, pseudo_y = feats[:0], y[:0]          # without replay, no pseudo rows
         if lc.enable_P:
-            pseudo = generate_pseudo_batch(feats, y, state.store,
-                                           sizes if lc.enable_batch_proto else None)
+            pseudo_x, pseudo_y = generate_pseudo_batch(
+                feats, y, state.store, sizes if lc.enable_batch_proto else None)
         bounds = np.cumsum([0] + sizes)
         for step, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            pb = PseudoBatch(pseudo.features[lo:hi], pseudo.labels[lo:hi]) if lc.enable_P else None
-            batch = merge(pb, feats[lo:hi], y[lo:hi])
-            real = slice(batch.n_pseudo, None)
-            logits = batch.features @ state.clf.W.T + state.clf.b
-            ce, dlogits = replay_ce_loss(batch, logits, n_old, lc)
+            x, labels = merge(pseudo_x[lo:hi], pseudo_y[lo:hi], feats[lo:hi], y[lo:hi])
+            p = len(x) - (hi - lo)                      # the pseudo rows come first
+            logits = x @ state.clf.W.T + state.clf.b
+            ce, dlogits = replay_ce_loss(logits, labels, p, n_old, lc)
             tce, vpr = 0.0, None
             if lc.enable_T:
-                tce, d = tce_loss(logits[real], batch.labels[real], task_range)
-                dlogits[real, task_range[0]:task_range[1]] += d
+                tce, d = tce_loss(logits[p:], labels[p:], task_range)
+                dlogits[p:, task_range[0]:task_range[1]] += d
             if lc.enable_V:
                 vpr = vpr_loss(state.store, state.clf, lc)
-            total = total_loss(ce + tce, dlogits, batch.features, vpr)
+            total = total_loss(ce + tce, dlogits, x, vpr)
             if not math.isfinite(total.value):
                 raise InvalidStateError(
                     f"task {data.task_index} diverged: loss {total.value} at epoch {epoch}, step {step}")

@@ -1,11 +1,12 @@
 """Training losses as value-and-gradient functions over the classifier head.
 
-Replay CE and TCE take a step's logits and return their gradient with
-respect to them; `total_loss` turns the summed logit gradient into the head
-gradient with one product and adds VPR's, which reads the head directly.
+Replay CE and TCE take a step's logits and labels and return their
+gradient with respect to the logits; `total_loss` turns the summed logit
+gradient into the head gradient with one product and adds VPR's, which
+reads the head directly.
 
 Three losses:
-  * replay cross-entropy over a merged pseudo+real batch, with the
+  * replay cross-entropy over a step's rows, pseudo rows first, with the
     pseudo rows' old-class logits divided by the temperature R (R < 1
     sharpens their predictions; R = 1 is no sharpening);
   * variational prototype replay: prototype replay (old-class prototypes
@@ -36,7 +37,6 @@ import numpy as np
 from .classifier import IncrementalClassifier
 from .errors import InvalidArgumentError, InvalidStateError
 from .prototypes import PrototypeStore
-from .replay import MergedBatch
 
 
 @dataclass
@@ -84,9 +84,10 @@ def _check_labels(labels: np.ndarray, n_classes: int, kind: str) -> None:
         raise InvalidArgumentError(f"{kind} label outside [0, {n_classes})")
 
 
-def replay_ce_loss(batch: MergedBatch, logits: np.ndarray, n_old: int,
+def replay_ce_loss(logits: np.ndarray, labels: np.ndarray, n_pseudo: int, n_old: int,
                    cfg: LossConfig) -> tuple[float, np.ndarray]:
-    """Cross-entropy over the merged batch, from its (n, C) head logits.
+    """Cross-entropy over a step's (n, C) head logits and their n labels,
+    the first n_pseudo rows pseudo rows and the rest real rows.
 
     Pseudo rows score against the first n_old logits divided by the
     sharpening temperature; real rows score against all C. Returns the mean
@@ -95,24 +96,25 @@ def replay_ce_loss(batch: MergedBatch, logits: np.ndarray, n_old: int,
     n, n_classes = logits.shape
     if n == 0:
         raise InvalidArgumentError("replay_ce_loss on an empty batch")
-    if n != batch.n_rows:
-        raise InvalidArgumentError(f"{n} logit rows for a batch of {batch.n_rows}")
+    if len(labels) != n:
+        raise InvalidArgumentError(f"{len(labels)} labels for {n} logit rows")
+    if not 0 <= n_pseudo <= n:
+        raise InvalidArgumentError(f"n_pseudo {n_pseudo} is outside [0, {n}], the batch's rows")
     if not 0 <= n_old <= n_classes:
         raise InvalidArgumentError(f"n_old {n_old} is outside [0, {n_classes}], the head's width")
-    p = batch.n_pseudo
-    yp, yr = batch.labels[:p], batch.labels[p:]
+    yp, yr = labels[:n_pseudo], labels[n_pseudo:]
     _check_labels(yp, n_old, "pseudo row")
     _check_labels(yr, n_classes, "real row")
 
     temp = cfg.R
     value = 0.0
     dlogits = np.zeros((n, n_classes))
-    if p:
-        nll, d = _softmax_ce(logits[:p, :n_old] / temp, yp)
+    if n_pseudo:
+        nll, d = _softmax_ce(logits[:n_pseudo, :n_old] / temp, yp)
         value += nll
-        dlogits[:p, :n_old] = d / temp
-    if p < n:
-        nll, dlogits[p:] = _softmax_ce(logits[p:], yr)
+        dlogits[:n_pseudo, :n_old] = d / temp
+    if n_pseudo < n:
+        nll, dlogits[n_pseudo:] = _softmax_ce(logits[n_pseudo:], yr)
         value += nll
     dlogits /= n
     return value / n, dlogits
@@ -204,14 +206,17 @@ def vpr_loss(store: PrototypeStore, clf: IncrementalClassifier,
 
 def tce_loss(logits: np.ndarray, labels, task_range: tuple[int, int]) -> tuple[float, np.ndarray]:
     """Cross-entropy with the softmax restricted to the task's class slice
-    of the real rows' (n, C) logits: the mean over the rows and its (n, hi - lo)
-    gradient with respect to `logits[:, lo:hi]`, the only nonzero part."""
+    of the real rows' (n, C) logits and their n labels: the mean over the
+    rows and its (n, hi - lo) gradient with respect to `logits[:, lo:hi]`,
+    the only nonzero part."""
     lo, hi = task_range
     if logits.ndim != 2 or logits.shape[0] == 0:
         raise InvalidArgumentError("tce_loss requires a non-empty batch")
     if not (0 <= lo < hi <= logits.shape[1]):
         raise InvalidArgumentError(f"bad task range {task_range}")
     labels = np.asarray(labels, dtype=np.int64)
+    if len(labels) != len(logits):
+        raise InvalidArgumentError(f"{len(labels)} labels for {len(logits)} logit rows")
     if labels.min() < lo or labels.max() >= hi:
         raise InvalidArgumentError("label outside the task range")
 

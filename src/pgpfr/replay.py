@@ -6,12 +6,11 @@ on the most similar old-class prototype; the old classes are the store's
 `ids` and `prototypes` matrix. One cosine matrix of the two assigns every
 group at once, and one gather translates every row. The head plays no part,
 so one call makes the pseudo rows of every batch of an epoch. `merge` stacks
-a step's pseudo rows over its real rows, for one logits product.
+a step's pseudo rows over its real rows, into one features and one labels
+array for one logits product.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,30 +19,10 @@ from .numerics import cosine_sim
 from .prototypes import PrototypeStore, _group_means
 
 
-@dataclass
-class PseudoBatch:
-    features: np.ndarray   # (B, D) translated features
-    labels: np.ndarray     # (B,) old-class ids
-
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass
-class MergedBatch:
-    features: np.ndarray   # (n, D): the n_pseudo pseudo rows, then the real rows
-    labels: np.ndarray     # (n,)
-    n_pseudo: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
-
-
 def generate_pseudo_batch(features, labels, store: PrototypeStore,
-                          batch_sizes=None) -> PseudoBatch:
-    """Translate each (batch, label) group onto its assigned old-class prototype.
+                          batch_sizes=None) -> tuple[np.ndarray, np.ndarray]:
+    """Translate each (batch, label) group onto its assigned old-class
+    prototype: the (N, D) pseudo features and their (N,) old-class labels.
 
     The rows are consecutive batches of `batch_sizes` rows each, by default
     one batch. Every row f of group n becomes f + mu_p - mu_hat_n with pseudo
@@ -75,18 +54,20 @@ def generate_pseudo_batch(features, labels, store: PrototypeStore,
     # is the smallest id
     mu = store.prototypes
     best = cosine_sim(protos, mu).argmax(axis=1)
-    return PseudoBatch(features + (mu[best] - protos)[inverse], store.ids[best][inverse])
+    return features + (mu[best] - protos)[inverse], store.ids[best][inverse]
 
 
-def merge(pseudo: PseudoBatch | None, real_features, real_labels) -> MergedBatch:
-    """Stack the pseudo rows, if any, over the real rows."""
+def merge(pseudo_features, pseudo_labels, real_features,
+          real_labels) -> tuple[np.ndarray, np.ndarray]:
+    """The step's (features, labels): the pseudo rows, then the real rows.
+    With no pseudo rows it returns the real arrays uncopied."""
     real_features = np.asarray(real_features, dtype=np.float64)
     real_labels = np.asarray(real_labels, dtype=np.int64)
-    if pseudo is None or pseudo.n_rows == 0:
-        return MergedBatch(real_features, real_labels, 0)
-    if pseudo.features.shape[1] != real_features.shape[1]:
+    if len(pseudo_features) == 0:
+        return real_features, real_labels
+    if pseudo_features.shape[1] != real_features.shape[1]:
         raise InvalidArgumentError(
-            f"feature dim mismatch: pseudo {pseudo.features.shape[1]}, "
+            f"feature dim mismatch: pseudo {pseudo_features.shape[1]}, "
             f"real {real_features.shape[1]}")
-    return MergedBatch(np.vstack([pseudo.features, real_features]),
-                       np.concatenate([pseudo.labels, real_labels]), pseudo.n_rows)
+    return (np.vstack([pseudo_features, real_features]),
+            np.concatenate([pseudo_labels, real_labels]))

@@ -66,18 +66,19 @@ def scalar_softmax_ce(logit_row, label) -> float:
     return -math.log(exps[label] / sum(exps))
 
 
-def scalar_replay_ce(batch, w, b, n_old, temp) -> float:
-    """Row-by-row reference of the merged-batch cross-entropy."""
+def scalar_replay_ce(features, labels, n_pseudo, w, b, n_old, temp) -> float:
+    """Row-by-row reference of the cross-entropy over a step's rows, the
+    first n_pseudo of them pseudo rows."""
     total = 0.0
-    for i, (row, label) in enumerate(zip(batch.features, batch.labels)):
-        if i < batch.n_pseudo:
+    for i, (row, label) in enumerate(zip(features, labels)):
+        if i < n_pseudo:
             logits = [(sum(w[c][j] * row[j] for j in range(len(row))) + b[c]) / temp
                       for c in range(n_old)]
         else:
             logits = [sum(w[c][j] * row[j] for j in range(len(row))) + b[c]
                       for c in range(len(w))]
         total += scalar_softmax_ce(logits, int(label))
-    return total / len(batch.labels)
+    return total / len(labels)
 
 
 def proto_loss(store: PrototypeStore, clf: IncrementalClassifier) -> LossValueGrad:

@@ -137,15 +137,15 @@ def test_criterion_3_replay_invariants():
         n = int(rng.integers(4, 30))
         feats = rng.normal(size=(n, dim)) * rng.uniform(0.5, 3)
         labels = rng.integers(100, 103, size=n)
-        pb = generate_pseudo_batch(feats, labels, store)
+        px, py = generate_pseudo_batch(feats, labels, store)
         for g in np.unique(labels):
             sel = labels == g
-            p = int(pb.labels[sel][0])
+            p = int(py[sel][0])
             worst = max(worst, float(np.abs(   # random_store's ids are its rows
-                pb.features[sel].mean(axis=0) - store.prototypes[p]).max()))
+                px[sel].mean(axis=0) - store.prototypes[p]).max()))
             if sel.sum() >= 2:
                 worst = max(worst, float(np.abs(
-                    covariance(pb.features[sel]) - covariance(feats[sel])).max()))
+                    covariance(px[sel]) - covariance(feats[sel])).max()))
     report(3, worst < 1e-9, f"max group mean/covariance deviation {worst:.2e}")
 
 

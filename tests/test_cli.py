@@ -321,6 +321,16 @@ class TestSynth:
     def test_bad_dim_exits_2(self, tmp_path, capsys):
         assert main(["synth", "--dim", "0", "--out", str(tmp_path / "x")]) == 2
 
+    def test_flags_left_out_default_as_a_config_synth_section(self, tmp_path, capsys):
+        # both routes leave per_class_train, per_class_test and separation
+        # to synth_gaussian's defaults
+        flags = tmp_path / "flags.pgfr"
+        assert main(["synth", "--classes", "4", "--dim", "6", "--seed", "1",
+                     "--out", str(flags)]) == 0
+        cfg = cli.load_config(write_config(tmp_path, synth={"classes": 4, "dim": 6, "seed": 1}))
+        save_dataset(cli._build_dataset(cfg), tmp_path / "config.pgfr")
+        assert (tmp_path / "config.pgfr").read_bytes() == flags.read_bytes()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "synth seed must be >= 0, got -1"),
         ("--separation", "nan", "separation must be finite and >= 0, got nan"),

@@ -17,7 +17,7 @@ from pgpfr.losses import LossConfig, replay_ce_loss, tce_loss, total_loss, vpr_l
 from pgpfr.metrics import accuracy
 from pgpfr.numerics import cosine_sim
 from pgpfr.prototypes import PrototypeStore, fit_class_statistics
-from pgpfr.replay import PseudoBatch, generate_pseudo_batch, merge
+from pgpfr.replay import generate_pseudo_batch, merge
 
 
 def small_setup(classes=6, k=3, d=1, n_tasks=4, dim=6, seed=0, **loss_kw):
@@ -270,22 +270,23 @@ def reference_incremental_head(state, data, cfg, task_order_means=False):
         for b in idx:
             feats, y = feats_all[b], y_all[b]
             if not lc.enable_P:
-                pseudo = None
+                pseudo = (feats[:0], y[:0])
             elif lc.enable_batch_proto:
                 pseudo = generate_pseudo_batch(feats, y, store)
             else:
                 at = np.searchsorted(task.ids, y)
-                pseudo = PseudoBatch(feats + (store.prototypes[best] - task.prototypes)[at],
-                                     store.ids[best][at])
-            batch = merge(pseudo, feats, y)
-            logits = batch.features @ clf.W.T + clf.b
-            value, dlogits = replay_ce_loss(batch, logits, n_old, lc)
+                pseudo = (feats + (store.prototypes[best] - task.prototypes)[at],
+                          store.ids[best][at])
+            x, labels = merge(*pseudo, feats, y)
+            n_pseudo = len(pseudo[0])
+            logits = x @ clf.W.T + clf.b
+            value, dlogits = replay_ce_loss(logits, labels, n_pseudo, n_old, lc)
             if lc.enable_T:
-                value_t, d = tce_loss(logits[batch.n_pseudo:], y, (lo, hi))
+                value_t, d = tce_loss(logits[n_pseudo:], y, (lo, hi))
                 value += value_t
-                dlogits[batch.n_pseudo:, lo:hi] += d
+                dlogits[n_pseudo:, lo:hi] += d
             vpr = vpr_loss(store, clf, lc) if lc.enable_V else None
-            clf_mod.adam_step(clf, total_loss(value, dlogits, batch.features, vpr), adam)
+            clf_mod.adam_step(clf, total_loss(value, dlogits, x, vpr), adam)
     return clf
 
 

@@ -10,17 +10,18 @@ from pgpfr.errors import InvalidArgumentError, InvalidStateError
 from pgpfr.losses import (LossConfig, LossValueGrad, replay_ce_loss, tce_loss,
                           total_loss, vpr_loss)
 from pgpfr.prototypes import PrototypeStore, fit_class_statistics, register
-from pgpfr.replay import MergedBatch, generate_pseudo_batch
+from pgpfr.replay import generate_pseudo_batch
 from conftest import (fd_gradients, max_rel_error, proto_loss, random_store,
                       scalar_replay_ce, scalar_vpr)
 
 
 def make_batch(rng, n_pseudo, n_real, dim, n_old, n_classes):
+    """A step's (features, labels, n_pseudo), the pseudo rows first."""
     feats = rng.normal(size=(n_pseudo + n_real, dim))
     labels = np.concatenate([
         rng.integers(0, n_old, size=n_pseudo),
         rng.integers(0, n_classes, size=n_real)])
-    return MergedBatch(feats, labels, n_pseudo)
+    return feats, labels, n_pseudo
 
 
 def head_logits(clf, features):
@@ -30,8 +31,9 @@ def head_logits(clf, features):
 def replay_ce_head(batch, clf, n_old, cfg):
     """replay_ce_loss of the head's logits, through total_loss: its value and
     its gradient over W and b."""
-    value, dlogits = replay_ce_loss(batch, head_logits(clf, batch.features), n_old, cfg)
-    return total_loss(value, dlogits, batch.features)
+    feats, labels, n_pseudo = batch
+    value, dlogits = replay_ce_loss(head_logits(clf, feats), labels, n_pseudo, n_old, cfg)
+    return total_loss(value, dlogits, feats)
 
 
 def tce_head(feats, labels, clf, task_range):
@@ -66,14 +68,14 @@ class TestReplayCE:
     def test_uniform_real_row(self):
         clf = new_classifier(2, 2, seed=0)
         clf.W[:] = 0
-        batch = MergedBatch(np.array([[1.0, 1.0]]), np.array([0]), 0)
-        value, _ = replay_ce_loss(batch, head_logits(clf, batch.features), 0, LossConfig())
+        feats = np.array([[1.0, 1.0]])
+        value, _ = replay_ce_loss(head_logits(clf, feats), np.array([0]), 0, 0, LossConfig())
         assert value == pytest.approx(math.log(2))
 
     def test_single_old_class_pseudo_term_zero(self, rng):
         clf = make_clf(rng, 3, 4)
-        batch = MergedBatch(rng.normal(size=(1, 3)), np.array([0]), 1)
-        value, _ = replay_ce_loss(batch, head_logits(clf, batch.features), 1, LossConfig())
+        feats = rng.normal(size=(1, 3))
+        value, _ = replay_ce_loss(head_logits(clf, feats), np.array([0]), 1, 1, LossConfig())
         assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_scalar_reference(self, rng):
@@ -82,32 +84,32 @@ class TestReplayCE:
             clf = make_clf(rng, 4, 5)
             batch = make_batch(rng, 3, 4, 4, n_old=3, n_classes=5)
             out = replay_ce_head(batch, clf, 3, cfg)
-            want = scalar_replay_ce(batch, clf.W, clf.b, 3, 0.3)
+            want = scalar_replay_ce(*batch, clf.W, clf.b, 3, 0.3)
             assert out.value == pytest.approx(want, rel=1e-12)
 
     def test_sharpening_disabled_uses_unit_temperature(self, rng):
         clf = make_clf(rng, 3, 4)
         batch = make_batch(rng, 2, 2, 3, n_old=2, n_classes=4)
         off = replay_ce_head(batch, clf, 2, LossConfig(R=1.0))
-        want = scalar_replay_ce(batch, clf.W, clf.b, 2, 1.0)
+        want = scalar_replay_ce(*batch, clf.W, clf.b, 2, 1.0)
         assert off.value == pytest.approx(want, rel=1e-12)
 
     def test_row_permutation_invariance(self, rng):
         # rows move within the pseudo block and within the real block
         clf = make_clf(rng, 3, 4)
-        batch = make_batch(rng, 3, 3, 3, n_old=2, n_classes=4)
+        feats, labels, n_pseudo = make_batch(rng, 3, 3, 3, n_old=2, n_classes=4)
         perm = np.concatenate([rng.permutation(3), 3 + rng.permutation(3)])
-        shuffled = MergedBatch(batch.features[perm], batch.labels[perm], batch.n_pseudo)
-        a = replay_ce_loss(batch, head_logits(clf, batch.features), 2, LossConfig())
-        b = replay_ce_loss(shuffled, head_logits(clf, shuffled.features), 2, LossConfig())
+        a = replay_ce_loss(head_logits(clf, feats), labels, n_pseudo, 2, LossConfig())
+        b = replay_ce_loss(head_logits(clf, feats[perm]), labels[perm], n_pseudo, 2,
+                           LossConfig())
         assert a[0] == pytest.approx(b[0], rel=1e-12)
         np.testing.assert_allclose(b[1], a[1][perm], rtol=1e-12)
 
     def test_pseudo_label_out_of_range(self, rng):
         clf = make_clf(rng, 3, 4)
-        batch = MergedBatch(rng.normal(size=(1, 3)), np.array([3]), 1)
+        logits = head_logits(clf, rng.normal(size=(1, 3)))
         with pytest.raises(InvalidArgumentError):
-            replay_ce_loss(batch, head_logits(clf, batch.features), 2, LossConfig())
+            replay_ce_loss(logits, np.array([3]), 1, 2, LossConfig())
 
     # pseudo: (pseudo rows, old classes), the pseudo rows first
     @pytest.mark.parametrize("labels, pseudo, message", [
@@ -122,9 +124,26 @@ class TestReplayCE:
         # a label of -1 would otherwise score against the last logit
         clf = make_clf(rng, 3, 3)
         n_pseudo, n_old = pseudo
-        batch = MergedBatch(rng.normal(size=(2, 3)), np.array(labels), n_pseudo)
+        logits = head_logits(clf, rng.normal(size=(2, 3)))
         with pytest.raises(InvalidArgumentError, match=message):
-            replay_ce_loss(batch, head_logits(clf, batch.features), n_old, LossConfig())
+            replay_ce_loss(logits, np.array(labels), n_pseudo, n_old, LossConfig())
+
+    @pytest.mark.parametrize("n_pseudo", [-1, 4])
+    def test_split_outside_the_rows(self, rng, n_pseudo):
+        # labels inside [0, n_old) are valid as pseudo and as real rows; a
+        # split of -1 would otherwise score the first n - 1 rows as pseudo rows
+        clf = make_clf(rng, 3, 4)
+        logits = head_logits(clf, rng.normal(size=(3, 3)))
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"n_pseudo {n_pseudo} is outside \[0, 3\]"):
+            replay_ce_loss(logits, np.array([0, 1, 0]), n_pseudo, 2, LossConfig())
+
+    @pytest.mark.parametrize("n_labels", [2, 4])
+    def test_label_count_must_match_rows(self, rng, n_labels):
+        clf = make_clf(rng, 3, 4)
+        logits = head_logits(clf, rng.normal(size=(3, 3)))
+        with pytest.raises(InvalidArgumentError, match=f"{n_labels} labels for 3 logit rows"):
+            replay_ce_loss(logits, np.zeros(n_labels, dtype=np.int64), 0, 2, LossConfig())
 
     def test_gradient_fd(self, rng):
         cfg = LossConfig(R=0.3)
@@ -321,8 +340,8 @@ class TestPackedRoots:
         batch, batch_labels = rng.normal(size=(16, dim)), rng.integers(10, 14, size=16)
         pa = generate_pseudo_batch(batch, batch_labels, ascending)
         pb = generate_pseudo_batch(batch, batch_labels, shuffled)
-        assert np.array_equal(pa.features, pb.features)
-        assert np.array_equal(pa.labels, pb.labels)
+        assert np.array_equal(pa[0], pb[0])
+        assert np.array_equal(pa[1], pb[1])
 
 
 class TestStoreIdsOutsideTheHead:
@@ -415,6 +434,15 @@ class TestTceLoss:
         clf = make_clf(rng, 3, 6)
         with pytest.raises(InvalidArgumentError):
             tce_loss(head_logits(clf, rng.normal(size=(1, 3))), [1], (4, 6))
+
+    @pytest.mark.parametrize("n_labels", [2, 6])
+    def test_label_count_must_match_rows(self, rng, n_labels):
+        # too few would leave rows with a gradient and no target; too many
+        # would otherwise raise a bare IndexError
+        clf = make_clf(rng, 3, 6)
+        logits = head_logits(clf, rng.normal(size=(4, 3)))
+        with pytest.raises(InvalidArgumentError, match=f"{n_labels} labels for 4 logit rows"):
+            tce_loss(logits, [4] * n_labels, (4, 6))
 
     def test_gradient_fd(self, rng):
         for _ in range(5):

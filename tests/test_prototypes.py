@@ -68,7 +68,7 @@ def batch_prototypes(features, labels, batch_sizes=None) -> np.ndarray:
     by it: against one old class at the origin, a pseudo row is f - mu_hat."""
     features = np.asarray(features, dtype=np.float64)
     origin = PrototypeStore([0], np.zeros((1, features.shape[1])))
-    return features - generate_pseudo_batch(features, labels, origin, batch_sizes).features
+    return features - generate_pseudo_batch(features, labels, origin, batch_sizes)[0]
 
 
 class TestDerivedCovariances:
@@ -130,10 +130,9 @@ class TestBatchClassPrototypes:
         fit = fit_class_statistics(feats, labels)
         best = cosine_sim(fit.prototypes, store.prototypes).argmax(axis=1)
         at = np.searchsorted(fit.ids, labels)
-        pb = generate_pseudo_batch(feats, labels, store)
-        assert np.array_equal(pb.features,
-                              feats + (store.prototypes[best] - fit.prototypes)[at])
-        assert np.array_equal(pb.labels, store.ids[best][at])
+        px, py = generate_pseudo_batch(feats, labels, store)
+        assert np.array_equal(px, feats + (store.prototypes[best] - fit.prototypes)[at])
+        assert np.array_equal(py, store.ids[best][at])
 
     def test_empty(self):
         with pytest.raises(InvalidArgumentError):

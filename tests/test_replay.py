@@ -25,7 +25,7 @@ def proto_of(store, cid) -> np.ndarray:
 
 def assigned_label(batch_proto, store) -> int:
     """Pseudo label of a one-row batch, whose prototype is that row."""
-    return int(generate_pseudo_batch([batch_proto], [99], store).labels[0])
+    return int(generate_pseudo_batch([batch_proto], [99], store)[1][0])
 
 
 def reference_label(batch_proto, store) -> tuple[int, dict]:
@@ -80,7 +80,7 @@ class TestAssignPseudoLabel:
             rows += [rows[0], -rows[0]]  # its mean is exactly 0
             labels += [len(groups), len(groups)]
         rows, labels = np.asarray(rows), np.asarray(labels)
-        pb = generate_pseudo_batch(rows, labels, store)
+        px, py = generate_pseudo_batch(rows, labels, store)
         for g in np.unique(labels):
             sel = labels == g
             proto = rows[sel].mean(axis=0)
@@ -89,9 +89,9 @@ class TestAssignPseudoLabel:
             top = [cid for cid, s in scores.items() if s >= scores[expected] - 1e-9]
             assume(all(np.array_equal(protos[c], protos[expected]) for c in top)
                    or np.linalg.norm(proto) < ZERO_NORM_EPS)
-            assert (pb.labels[sel] == expected).all()
+            assert (py[sel] == expected).all()
             translated = rows[sel] + proto_of(store, expected) - proto
-            assert np.abs(pb.features[sel] - translated).max() < 1e-12
+            assert np.abs(px[sel] - translated).max() < 1e-12
 
 
 class TestGeneratePseudoBatch:
@@ -99,20 +99,20 @@ class TestGeneratePseudoBatch:
         # batch prototype equals the stored prototype: translation is zero
         feats = np.array([[1.0, 0.0], [3.0, 0.0]])  # group mean [2, 0]
         store = store_with_protos({0: [2, 0]})
-        pb = generate_pseudo_batch(feats, [7, 7], store)
-        assert np.allclose(pb.features, feats)
-        assert (pb.labels == 0).all()
+        px, py = generate_pseudo_batch(feats, [7, 7], store)
+        assert np.allclose(px, feats)
+        assert (py == 0).all()
 
     def test_single_sample_group_lands_on_prototype(self):
         store = store_with_protos({0: [5, 5]})
-        pb = generate_pseudo_batch([[1.0, 2.0]], [9], store)
-        assert np.allclose(pb.features, [[5, 5]])
+        px, _ = generate_pseudo_batch([[1.0, 2.0]], [9], store)
+        assert np.allclose(px, [[5, 5]])
 
     def test_translation_arithmetic(self):
         # f + mu_p - mu_hat = [1,1] + [3,0] - [1,0] = [3,1], and [3,-1] for [1,-1]
         store = store_with_protos({0: [3, 0]})
-        pb = generate_pseudo_batch([[1.0, 1.0], [1.0, -1.0]], [4, 4], store)
-        assert np.allclose(pb.features, [[3, 1], [3, -1]])
+        px, _ = generate_pseudo_batch([[1.0, 1.0], [1.0, -1.0]], [4, 4], store)
+        assert np.allclose(px, [[3, 1], [3, -1]])
 
     def test_whole_task_prototypes_beyond_the_batch(self):
         # an epoch of two batches with labels 9, 2 each: per batch, each row is
@@ -121,11 +121,11 @@ class TestGeneratePseudoBatch:
         store = store_with_protos({0: [1, 0], 1: [0, 1]})
         feats = np.array([[1.0, 4.0], [3.0, 1.0], [0.0, 2.0], [1.0, 0.0]])
         labels = [9, 2, 9, 2]
-        per_batch = generate_pseudo_batch(feats, labels, store, [2, 2])
-        whole = generate_pseudo_batch(feats, labels, store)
-        assert per_batch.labels.tolist() == whole.labels.tolist() == [1, 0, 1, 0]
-        assert np.allclose(per_batch.features, [[0, 1], [1, 0], [0, 1], [1, 0]])
-        assert np.allclose(whole.features, [[0.5, 2], [2, 0.5], [-0.5, 0], [0, -0.5]])
+        per_batch_x, per_batch_y = generate_pseudo_batch(feats, labels, store, [2, 2])
+        whole_x, whole_y = generate_pseudo_batch(feats, labels, store)
+        assert per_batch_y.tolist() == whole_y.tolist() == [1, 0, 1, 0]
+        assert np.allclose(per_batch_x, [[0, 1], [1, 0], [0, 1], [1, 0]])
+        assert np.allclose(whole_x, [[0.5, 2], [2, 0.5], [-0.5, 0], [0, -0.5]])
 
     @given(labels=st.lists(st.sampled_from([-2 ** 63, -3, -1, 0, 1, 2, 7, 2 ** 32,
                                             2 ** 32 + 1, 2 ** 63 - 1]),
@@ -147,39 +147,39 @@ class TestGeneratePseudoBatch:
         store = random_store(rng, 4, dim)
         labels = np.array(labels, dtype=np.int64)
         bounds = list(range(0, len(labels), batch_size)) + [len(labels)]
-        epoch = generate_pseudo_batch(feats, labels, store, np.diff(bounds))
+        epoch_x, epoch_y = generate_pseudo_batch(feats, labels, store, np.diff(bounds))
         per_batch = [generate_pseudo_batch(feats[lo:hi], labels[lo:hi], store)
                      for lo, hi in zip(bounds[:-1], bounds[1:])]
-        assert np.array_equal(epoch.features, np.vstack([p.features for p in per_batch]))
-        assert np.array_equal(epoch.labels, np.concatenate([p.labels for p in per_batch]))
+        assert np.array_equal(epoch_x, np.vstack([x for x, _ in per_batch]))
+        assert np.array_equal(epoch_y, np.concatenate([y for _, y in per_batch]))
 
     def test_group_mean_fidelity_and_dispersion(self, rng):
         store = random_store(rng, 4, 5)
         feats = rng.normal(size=(24, 5))
         labels = rng.integers(10, 13, size=24)
-        pb = generate_pseudo_batch(feats, labels, store)
+        px, py = generate_pseudo_batch(feats, labels, store)
         for g in np.unique(labels):
             sel = labels == g
-            p = int(pb.labels[sel][0])
-            assert (pb.labels[sel] == p).all()
-            assert np.abs(pb.features[sel].mean(axis=0) - proto_of(store, p)).max() < 1e-9
-            assert np.abs(covariance(pb.features[sel]) - covariance(feats[sel])).max() < 1e-9
+            p = int(py[sel][0])
+            assert (py[sel] == p).all()
+            assert np.abs(px[sel].mean(axis=0) - proto_of(store, p)).max() < 1e-9
+            assert np.abs(covariance(px[sel]) - covariance(feats[sel])).max() < 1e-9
 
     def test_labels_always_old_classes(self, rng):
         store = random_store(rng, 3, 4)
-        pb = generate_pseudo_batch(rng.normal(size=(10, 4)),
-                                   rng.integers(50, 53, size=10), store)
-        assert set(int(l) for l in pb.labels) <= set(store.ids.tolist())
+        _, py = generate_pseudo_batch(rng.normal(size=(10, 4)),
+                                      rng.integers(50, 53, size=10), store)
+        assert set(int(l) for l in py) <= set(store.ids.tolist())
 
     def test_row_order_matches_input(self, rng):
         store = random_store(rng, 2, 3)
         feats = rng.normal(size=(6, 3))
         labels = np.array([1, 0, 1, 0, 1, 0]) + 100
-        pb = generate_pseudo_batch(feats, labels, store)
+        px, _ = generate_pseudo_batch(feats, labels, store)
         # each output row is its input row plus that group's fixed translation
         for g in (100, 101):
             sel = labels == g
-            deltas = pb.features[sel] - feats[sel]
+            deltas = px[sel] - feats[sel]
             assert np.abs(deltas - deltas[0]).max() < 1e-12
 
     def test_errors(self, rng):
@@ -208,32 +208,31 @@ class TestGeneratePseudoBatch:
 
 class TestMerge:
     def test_empty_pseudo(self):
-        feats = np.array([[1.0, 2.0], [3.0, 4.0]])
-        m = merge(None, feats, [0, 1])
-        assert np.array_equal(m.features, feats)
-        assert m.n_pseudo == 0
+        feats, labels = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1])
+        x, y = merge(np.empty((0, 2)), np.empty(0, dtype=np.int64), feats, labels)
+        # the real arrays themselves, uncopied
+        assert x is feats and y is labels
 
     def test_counting_and_mask(self, rng):
         store = random_store(rng, 2, 3)
         feats = rng.normal(size=(5, 3))
-        pb = generate_pseudo_batch(feats, [9] * 5, store)
-        m = merge(pb, feats, [9] * 5)
-        assert m.n_rows == 10
-        assert m.n_pseudo == 5
+        px, py = generate_pseudo_batch(feats, [9] * 5, store)
+        x, y = merge(px, py, feats, [9] * 5)
+        assert len(x) == len(y) == 10
 
     def test_round_trip_split(self, rng):
         store = random_store(rng, 2, 3)
         feats = rng.normal(size=(4, 3))
         labels = np.array([7, 7, 8, 8])
-        pb = generate_pseudo_batch(feats, labels, store)
-        m = merge(pb, feats, labels)
-        assert np.array_equal(m.features[:m.n_pseudo], pb.features)
-        assert np.array_equal(m.labels[:m.n_pseudo], pb.labels)
-        assert np.array_equal(m.features[m.n_pseudo:], feats)
-        assert np.array_equal(m.labels[m.n_pseudo:], labels)
+        px, py = generate_pseudo_batch(feats, labels, store)
+        x, y = merge(px, py, feats, labels)
+        assert np.array_equal(x[:len(px)], px)
+        assert np.array_equal(y[:len(px)], py)
+        assert np.array_equal(x[len(px):], feats)
+        assert np.array_equal(y[len(px):], labels)
 
     def test_dim_mismatch(self, rng):
         store = random_store(rng, 2, 3)
-        pb = generate_pseudo_batch(rng.normal(size=(2, 3)), [5, 5], store)
+        px, py = generate_pseudo_batch(rng.normal(size=(2, 3)), [5, 5], store)
         with pytest.raises(InvalidArgumentError):
-            merge(pb, rng.normal(size=(2, 4)), [0, 0])
+            merge(px, py, rng.normal(size=(2, 4)), [0, 0])
