@@ -1,21 +1,20 @@
-"""Pluggable feature backbone: identity, linear, or one-hidden-layer MLP.
+"""Pluggable feature backbone: a stack of float32 affine layers, a ReLU between.
 
-The backbone is trainable only during the first task; afterwards it is
-frozen and every later task sees the exact same feature space. That
-stability is what keeps stored class statistics valid across tasks.
+`identity` has no layer, `linear` one and `mlp1` two (`ExtractorSpec.widths`).
+The backbone is trainable only during the first task; afterwards it is frozen
+and every later task sees the exact same feature space. That stability is
+what keeps stored class statistics valid across tasks.
 
-The `linear` and `mlp1` backbones are float32 end to end: their parameters,
-their task-0 gradients and Adam moments, and their forward pass. Their weights
-are stored input-major, (in, out), so the forward pass is `x @ W`, which reads
-no weight transposed, and the weight gradient is `x.T @ d`. Task-0 training
-rounds each mini-batch to float32 (a float32 batch as it comes), and
-`Extractor.embed_batch` embeds one block of EMBED_ROWS rows at a time in
-float32 into one preallocated float64 output; `identity` rounds its input to
-float32 the same way and returns it as float64, so the head trains and is
-evaluated on the same features. Everything after the backbone (the head, the
-losses, the prototype store) is float64. The float32 backbone's range ends at
-3.4e38: a task-0 step that leaves it gives a non-finite loss, and training
-stops as diverged.
+Its parameters `W1, b1, W2, b2, ...`, their task-0 gradients and Adam moments
+and its forward pass are float32. Each weight is stored input-major, (in,
+out), so layer i computes `x @ W_i + b_i`, which reads no weight transposed,
+and its weight gradient is `x.T @ d`. Task-0 training rounds each mini-batch
+to float32, and `Extractor.embed_batch` embeds one block of EMBED_ROWS rows
+at a time in float32 into one preallocated float64 output; with no layer a
+block is its rows rounded to float32, so the head trains and is evaluated on
+the same features. Everything after the backbone (the head, the losses, the
+prototype store) is float64. The float32 range ends at 3.4e38: a task-0 step
+that leaves it gives a non-finite loss, and training stops as diverged.
 """
 
 from __future__ import annotations
@@ -61,6 +60,13 @@ class ExtractorSpec:
         if self.seed < 0:
             raise InvalidArgumentError(f"extractor seed must be >= 0, got {self.seed}")
 
+    @property
+    def widths(self) -> tuple[int, ...]:
+        """Layer widths, input first: layer i maps widths[i - 1] to widths[i]."""
+        return {"identity": (),
+                "linear": (self.input_dim, self.feature_dim),
+                "mlp1": (self.input_dim, self.hidden_dim, self.feature_dim)}[self.kind]
+
 
 @dataclass
 class Extractor:
@@ -70,18 +76,15 @@ class Extractor:
 
     def embed_batch(self, x) -> np.ndarray:
         """Float64 features of the (N, input_dim) batch x, bitwise equal to
-        one `_forward` over all of x in float32. The identity backbone
-        rounds x to float32, as task-0 training does, and makes one float64
-        copy of that; the others run their float32 forward pass per row
-        block (see EMBED_ROWS), so only one block is converted at a time. A
-        diverged backbone gives non-finite features without a numpy warning;
-        callers check them."""
+        one `_forward` over all of x in float32. The float32 forward pass
+        runs per row block (see EMBED_ROWS), so only one block is converted
+        at a time; with no layer a block's features are its rows rounded to
+        float32, as task-0 training sees them. A diverged backbone gives
+        non-finite features without a numpy warning; callers check them."""
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise InvalidArgumentError(
                 f"input must be (N, {self.spec.input_dim}), got {x.shape}")
-        if self.spec.kind == "identity":
-            return np.asarray(x, dtype=np.float32).astype(np.float64)
         n = x.shape[0]
         out = np.empty((n, self.spec.feature_dim))
         bounds = [i * EMBED_ROWS for i in range(max(1, n // EMBED_ROWS))] + [n]
@@ -91,16 +94,16 @@ class Extractor:
         return out
 
     def _forward(self, x: np.ndarray):
-        """Features of the (N, input_dim) batch x, plus the hidden activation
-        the backward pass needs (mlp1; None for the other kinds)."""
-        if self.spec.kind == "identity":
-            return x.copy(), None
-        if self.spec.kind == "linear":
-            return x @ self.params["W"] + self.params["b"], None
-        h = x @ self.params["W1"]   # in place from here: no second (N, hidden) array
-        h += self.params["b1"]
-        np.maximum(h, 0.0, out=h)
-        return h @ self.params["W2"] + self.params["b2"], h
+        """Features of the (N, input_dim) batch x, plus each layer's input,
+        which the backward pass reads. With no layer the features are x."""
+        inputs = []
+        for i in range(1, len(self.spec.widths)):
+            if i > 1:
+                np.maximum(x, 0.0, out=x)
+            inputs.append(x)
+            x = x @ self.params[f"W{i}"]   # in place from here: one array per layer
+            x += self.params[f"b{i}"]
+        return x, inputs
 
     def freeze(self) -> "Extractor":
         self.frozen = True
@@ -127,17 +130,12 @@ def init(spec: ExtractorSpec) -> Extractor:
         w = rng.normal(0.0, INIT_STD, size=(n_out, n_in)).astype(np.float32)
         return np.ascontiguousarray(w.T)
 
+    layers = list(zip(spec.widths[:-1], spec.widths[1:]))
+    check_addressable(*[(n_out, n_in) for n_in, n_out in layers])
     params: dict[str, np.ndarray] = {}
-    if spec.kind == "linear":
-        check_addressable((spec.feature_dim, spec.input_dim))
-        params["W"] = weight(spec.input_dim, spec.feature_dim)
-        params["b"] = np.zeros(spec.feature_dim, dtype=np.float32)
-    elif spec.kind == "mlp1":
-        check_addressable((spec.hidden_dim, spec.input_dim), (spec.feature_dim, spec.hidden_dim))
-        params["W1"] = weight(spec.input_dim, spec.hidden_dim)
-        params["b1"] = np.zeros(spec.hidden_dim, dtype=np.float32)
-        params["W2"] = weight(spec.hidden_dim, spec.feature_dim)
-        params["b2"] = np.zeros(spec.feature_dim, dtype=np.float32)
+    for i, (n_in, n_out) in enumerate(layers, 1):
+        params[f"W{i}"] = weight(n_in, n_out)
+        params[f"b{i}"] = np.zeros(n_out, dtype=np.float32)
     return Extractor(spec, params)
 
 
@@ -148,25 +146,20 @@ def _ce_forward_backward(ext: Extractor, head: clf_mod.IncrementalClassifier,
     the backbone is rounded to float32, so a float32 batch gives float32
     backbone gradients."""
     n = x.shape[0]
-    kind = ext.spec.kind
-    feats, h = ext._forward(x)
+    feats, inputs = ext._forward(x)
     nll, d = _softmax_ce(feats @ head.W.T + head.b, y)
     value = float(nll / n)
     d /= n
 
     head_grads = {"W": d.T @ feats, "b": d.sum(axis=0)}
     ext_grads: dict[str, np.ndarray] = {}
-    if kind != "identity":
-        dfeat = (d @ head.W).astype(np.float32)
-        if kind == "linear":
-            ext_grads["W"] = x.T @ dfeat
-            ext_grads["b"] = dfeat.sum(axis=0)
-        else:
-            ext_grads["W2"] = h.T @ dfeat
-            ext_grads["b2"] = dfeat.sum(axis=0)
-            dh = (dfeat @ ext.params["W2"].T) * (h > 0)  # h > 0 exactly where the ReLU passed
-            ext_grads["W1"] = x.T @ dh
-            ext_grads["b1"] = dh.sum(axis=0)
+    g = (d @ head.W).astype(np.float32) if inputs else None  # at the last layer's output
+    for i in range(len(inputs), 0, -1):
+        a = inputs[i - 1]
+        ext_grads[f"W{i}"] = a.T @ g
+        ext_grads[f"b{i}"] = g.sum(axis=0)
+        if i > 1:
+            g = (g @ ext.params[f"W{i}"].T) * (a > 0)  # a > 0 exactly where the ReLU passed
     return value, head_grads, ext_grads
 
 
@@ -179,7 +172,9 @@ def train_task0(ext: Extractor, data, head: clf_mod.IncrementalClassifier, cfg) 
     parameter's dtype. Raises InvalidStateError as soon as a step's loss is
     non-finite.
     """
-    from .dataio import batches  # local import to avoid a module cycle
+    # looked up at call time, so a hook on pgpfr.dataio.batches (such as the
+    # benchmark's, perfbench/spans.py) sees task 0's batches too
+    from .dataio import batches
 
     if ext.frozen:
         raise InvalidStateError("extractor is frozen; task-0 training is not allowed")

@@ -63,6 +63,9 @@ def merge(pseudo_features, pseudo_labels, real_features,
     With no pseudo rows it returns the real arrays uncopied."""
     real_features = np.asarray(real_features, dtype=np.float64)
     real_labels = np.asarray(real_labels, dtype=np.int64)
+    if len(pseudo_labels) != len(pseudo_features):
+        raise InvalidArgumentError(
+            f"{len(pseudo_labels)} pseudo labels for {len(pseudo_features)} pseudo feature rows")
     if len(pseudo_features) == 0:
         return real_features, real_labels
     if pseudo_features.shape[1] != real_features.shape[1]:

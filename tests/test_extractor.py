@@ -63,8 +63,8 @@ class TestEmbed:
 
     def test_linear_identity_params(self):
         e = init(ExtractorSpec("linear", 3, 3))
-        e.params["W"] = np.eye(3)
-        e.params["b"] = np.zeros(3)
+        e.params["W1"] = np.eye(3, dtype=np.float32)
+        e.params["b1"] = np.zeros(3, dtype=np.float32)
         x = np.array([[0.5, -2.0, 7.0]])
         assert np.allclose(e.embed_batch(x), x)
 
@@ -91,16 +91,18 @@ class TestEmbedRowBlocks:
     """embed_batch runs its forward pass per row block; the result must be
     the one-shot forward pass over all rows, bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("kind", ["identity", "linear", "mlp1"])
     @pytest.mark.parametrize("n", [1, EMBED_ROWS - 1, EMBED_ROWS, 2 * EMBED_ROWS - 1,
                                    2 * EMBED_ROWS, 2 * EMBED_ROWS + 1])
     def test_bitwise_equal_to_one_shot_forward(self, rng, kind, n):
-        e = init(ExtractorSpec(kind, 48, 16, hidden_dim=64 if kind == "mlp1" else 0, seed=3))
+        feature_dim = 48 if kind == "identity" else 16
+        e = init(ExtractorSpec(kind, 48, feature_dim, hidden_dim=64 if kind == "mlp1" else 0,
+                               seed=3))
         for name, p in e.params.items():   # a trained-looking backbone: most ReLUs pass
             p[...] = rng.normal(size=p.shape) * (0.1 if name.startswith("W") else 1.0)
         x = rng.normal(size=(n, 48)).astype(np.float32)
         got = e.embed_batch(x)
-        assert got.dtype == np.float64 and got.shape == (n, 16)
+        assert got.dtype == np.float64 and got.shape == (n, feature_dim)
         assert got.tobytes() == e._forward(x)[0].astype(np.float64).tobytes()
 
     def test_empty_batch(self):
@@ -228,7 +230,14 @@ class TestTrainTask0:
         assert (preds == task.train_labels).mean() >= 0.95
 
     def test_joint_gradients_match_finite_differences(self, rng):
-        e = init(ExtractorSpec("mlp1", 4, 3, hidden_dim=6, seed=5))
+        self._check_joint_gradients(rng, "mlp1")
+
+    def test_linear_joint_gradients_match_finite_differences(self, rng):
+        self._check_joint_gradients(rng, "linear")
+
+    @staticmethod
+    def _check_joint_gradients(rng, kind):
+        e = init(ExtractorSpec(kind, 4, 3, hidden_dim=6 if kind == "mlp1" else 0, seed=5))
         head = new_classifier(3, 3, seed=1)
         head.W[:] = rng.normal(size=(3, 3)) * 0.5
         x = rng.normal(size=(8, 4))
@@ -255,14 +264,14 @@ class TestDtypes:
     """linear and mlp1 are float32 end to end; the head and every feature
     after embedding are float64."""
 
-    @pytest.mark.parametrize("kind, names", [("linear", ["W", "b"]),
+    @pytest.mark.parametrize("kind, names", [("linear", ["W1", "b1"]),
                                              ("mlp1", ["W1", "W2", "b1", "b2"])])
     def test_init_parameters_are_float32(self, kind, names):
         e = init(ExtractorSpec(kind, 4, 3, hidden_dim=5 if kind == "mlp1" else 0, seed=1))
         assert sorted(e.params) == names
         assert all(p.dtype == np.float32 for p in e.params.values())
 
-    @pytest.mark.parametrize("kind, shapes", [("linear", {"W": (4, 3)}),
+    @pytest.mark.parametrize("kind, shapes", [("linear", {"W1": (4, 3)}),
                                               ("mlp1", {"W1": (4, 5), "W2": (5, 3)})])
     def test_weights_are_input_major(self, kind, shapes):
         """Each weight is (in, out) and C-contiguous, the transpose of the

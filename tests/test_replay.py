@@ -236,3 +236,15 @@ class TestMerge:
         px, py = generate_pseudo_batch(rng.normal(size=(2, 3)), [5, 5], store)
         with pytest.raises(InvalidArgumentError):
             merge(px, py, rng.normal(size=(2, 4)), [0, 0])
+
+    def test_labels_without_pseudo_rows_rejected(self):
+        # unchecked, the real arrays came back and both labels were lost
+        feats, labels = np.array([[1.0, 2.0, 3.0]]), np.array([0])
+        with pytest.raises(InvalidArgumentError, match="2 pseudo labels for 0 pseudo"):
+            merge(np.empty((0, 3)), np.array([1, 2]), feats, labels)
+
+    def test_pseudo_label_count_must_match_rows(self):
+        # unchecked, 3 feature rows came back with 4 labels
+        feats, labels = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), np.array([0, 0])
+        with pytest.raises(InvalidArgumentError, match="2 pseudo labels for 1 pseudo"):
+            merge(np.array([[0.0, 1.0, 2.0]]), np.array([1, 2]), feats, labels)
