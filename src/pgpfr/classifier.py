@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .numerics import check_addressable, check_matrix
 
 INIT_STD = 0.01
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and epsilon (Kingma & Ba)
@@ -44,6 +45,9 @@ def new_classifier(dim: int, k: int, seed: int) -> IncrementalClassifier:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     if k < 1:
         raise InvalidArgumentError(f"class count must be >= 1, got {k}")
+    if seed < 0:
+        raise InvalidArgumentError(f"classifier seed must be >= 0, got {seed}")
+    check_addressable((k, dim))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     w = rng.normal(0.0, INIT_STD, size=(k, dim))
     return IncrementalClassifier(w, np.zeros(k), [(0, k)])
@@ -53,6 +57,9 @@ def expand(clf: IncrementalClassifier, d: int, seed: int) -> IncrementalClassifi
     """Append d freshly initialized class rows as a new task range."""
     if d < 1:
         raise InvalidArgumentError(f"d must be >= 1, got {d}")
+    if seed < 0:
+        raise InvalidArgumentError(f"classifier seed must be >= 0, got {seed}")
+    check_addressable((clf.n_classes + d, clf.dim))
     task_idx = len(clf.task_ranges)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1, task_idx]))
     new_w = rng.normal(0.0, INIT_STD, size=(d, clf.dim))
@@ -67,8 +74,8 @@ def expand(clf: IncrementalClassifier, d: int, seed: int) -> IncrementalClassifi
 def predict(clf: IncrementalClassifier, features) -> np.ndarray:
     """Argmax class per row of the (N, D) features' float64 logits; ties
     resolve to the smallest class id."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != clf.dim:
+    features = check_matrix(features, "predict features")
+    if features.shape[1] != clf.dim:
         raise InvalidArgumentError(
             f"features must be (N, {clf.dim}), got {features.shape}")
     return np.argmax(features @ clf.W.T + clf.b, axis=1)

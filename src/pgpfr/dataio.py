@@ -68,9 +68,18 @@ class Dataset:
         return sorted(int(c) for c in np.unique(self.labels))
 
     def validate(self) -> None:
-        """Every feature is finite and every class has a train and a test
-        sample; split bytes other than TRAIN and TEST count as neither."""
+        """Features are an (N, D) numeric array, labels and split bytes N
+        integers each, every feature is finite and every class has a train
+        and a test sample; split bytes other than TRAIN and TEST count as
+        neither."""
         f = self.features
+        if (f.ndim != 2 or f.dtype.kind not in "biuf" or self.labels.dtype.kind not in "iu"
+                or self.split.dtype.kind not in "iu"
+                or not self.labels.shape == self.split.shape == (len(f),)):
+            raise DatasetValidationError(
+                f"a dataset needs (N, D) numeric features and N integer labels and split "
+                f"bytes, got {f.dtype} {f.shape}, {self.labels.dtype} {self.labels.shape} "
+                f"and {self.split.dtype} {self.split.shape}")
         # min or max is non-finite when any entry is, and neither needs an (N, D) mask
         if f.size and not (np.isfinite(f.min()) and np.isfinite(f.max())):
             bad = int(np.argwhere(~np.isfinite(f).all(axis=1))[0, 0])
@@ -109,16 +118,20 @@ def _block_rows(n: int, rec: np.dtype) -> int:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write ds in the binary format. Features must be 2-D with one label and
-    one split byte per row, labels must fit in u32 and split bytes be TRAIN
-    or TEST, all checked before the file is opened. Records are packed and
-    written one block of about READ_BLOCK_BYTES at a time."""
-    if ds.features.ndim != 2:
-        raise InvalidArgumentError(f"features must be 2-D, got shape {ds.features.shape}")
+    """Write ds in the binary format. Features must be 2-D numbers with one
+    label and one split byte per row, labels must be integers that fit in u32
+    and split bytes be TRAIN or TEST, all checked before the file is opened.
+    Records are packed and written one block of about READ_BLOCK_BYTES at a
+    time."""
+    if ds.features.ndim != 2 or ds.features.dtype.kind not in "biuf":
+        raise InvalidArgumentError(
+            f"features must be 2-D numbers, got {ds.features.dtype} of shape {ds.features.shape}")
     if not ds.labels.shape == ds.split.shape == (ds.n_samples,):
         raise InvalidArgumentError(
             f"features have {ds.n_samples} rows, labels shape {ds.labels.shape} "
             f"and split shape {ds.split.shape}; each needs one entry per row")
+    if ds.labels.dtype.kind not in "iu":
+        raise InvalidArgumentError(f"labels must be integers, got {ds.labels.dtype}")
     if ds.labels.size and (ds.labels.min() < 0 or ds.labels.max() >= 2 ** 32):
         raise InvalidArgumentError("labels must lie in [0, 2**32)")
     if not np.isin(ds.split, (TRAIN, TEST)).all():

@@ -195,10 +195,11 @@ def run_experiment(cfg: TrainConfig, schedule: TaskSchedule, dataset: Dataset,
     """Run the full schedule and return one MetricsRecord per task.
 
     `task_callback(state)`, when given, is invoked after each task; it is
-    how checkpointing and invariant checks hook in. The schedule is checked
-    against the dataset before task 0, and each task's split is cut when
-    its turn comes.
+    how checkpointing and invariant checks hook in. The dataset is validated
+    (`Dataset.validate`) and the schedule checked against it before task 0,
+    and each task's split is cut when its turn comes.
     """
+    dataset.validate()
     if extractor_spec.input_dim != dataset.dim:
         raise InvalidArgumentError(
             f"extractor input_dim {extractor_spec.input_dim} does not match the "

@@ -36,6 +36,7 @@ import numpy as np
 
 from .classifier import IncrementalClassifier
 from .errors import InvalidArgumentError, InvalidStateError
+from .numerics import check_integer, check_labels, check_matrix
 from .prototypes import PrototypeStore
 
 
@@ -93,11 +94,13 @@ def replay_ce_loss(logits: np.ndarray, labels: np.ndarray, n_pseudo: int, n_old:
     sharpening temperature; real rows score against all C. Returns the mean
     over the n rows and its (n, C) gradient with respect to `logits`.
     """
+    logits = check_matrix(logits, "replay_ce_loss logits")
     n, n_classes = logits.shape
     if n == 0:
         raise InvalidArgumentError("replay_ce_loss on an empty batch")
-    if len(labels) != n:
-        raise InvalidArgumentError(f"{len(labels)} labels for {n} logit rows")
+    labels = check_labels(labels, n, "logit rows")
+    check_integer(n_pseudo, "n_pseudo")
+    check_integer(n_old, "n_old")
     if not 0 <= n_pseudo <= n:
         raise InvalidArgumentError(f"n_pseudo {n_pseudo} is outside [0, {n}], the batch's rows")
     if not 0 <= n_old <= n_classes:
@@ -210,13 +213,14 @@ def tce_loss(logits: np.ndarray, labels, task_range: tuple[int, int]) -> tuple[f
     rows and its (n, hi - lo) gradient with respect to `logits[:, lo:hi]`,
     the only nonzero part."""
     lo, hi = task_range
-    if logits.ndim != 2 or logits.shape[0] == 0:
+    logits = check_matrix(logits, "tce_loss logits")
+    if logits.shape[0] == 0:
         raise InvalidArgumentError("tce_loss requires a non-empty batch")
+    check_integer(lo, "task range start")
+    check_integer(hi, "task range end")
     if not (0 <= lo < hi <= logits.shape[1]):
         raise InvalidArgumentError(f"bad task range {task_range}")
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != len(logits):
-        raise InvalidArgumentError(f"{len(labels)} labels for {len(logits)} logit rows")
+    labels = check_labels(labels, len(logits), "logit rows")
     if labels.min() < lo or labels.max() >= hi:
         raise InvalidArgumentError("label outside the task range")
 

@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError
+from .numerics import check_labels, check_matrix
 
 
 class PrototypeStore:
@@ -40,18 +41,26 @@ class PrototypeStore:
     read-only; it never changes after it is built."""
 
     def __init__(self, ids=(), prototypes=None, roots=None):
-        """With no arguments, the empty store."""
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.prototypes = np.asarray(np.zeros((0, 0)) if prototypes is None else prototypes,
-                                     dtype=np.float64)
-        n, dim = len(self.ids), self.prototypes.shape[-1]
-        self.roots = np.asarray(np.zeros((0, dim)) if roots is None else roots, dtype=np.float64)
-        if (self.ids.ndim != 1 or self.prototypes.shape != (n, dim)
-                or self.roots.ndim != 2 or self.roots.shape[1] != dim
-                or (len(self.roots) % n if n else len(self.roots))):
+        """With no arguments, the empty store. Ids must be integers, and the
+        prototypes and roots bool, integer or float numbers."""
+        ids = np.asarray(ids)
+        protos = np.asarray(np.zeros((0, 0)) if prototypes is None else prototypes)
+        roots = np.asarray(np.zeros((0, protos.shape[-1] if protos.ndim else 0))
+                           if roots is None else roots)
+        if (ids.size and ids.dtype.kind not in "iu") or protos.dtype.kind not in "biuf" \
+                or roots.dtype.kind not in "biuf":
             raise InvalidArgumentError(
-                f"store arrays disagree: ids {self.ids.shape}, "
-                f"prototypes {self.prototypes.shape}, roots {self.roots.shape}")
+                f"store ids must be integers and its arrays numbers, got ids {ids.dtype}, "
+                f"prototypes {protos.dtype}, roots {roots.dtype}")
+        if (ids.ndim != 1 or protos.ndim != 2 or len(protos) != len(ids)
+                or roots.ndim != 2 or roots.shape[1] != protos.shape[1]
+                or (len(roots) % len(ids) if len(ids) else len(roots))):
+            raise InvalidArgumentError(
+                f"store arrays disagree: ids {ids.shape}, "
+                f"prototypes {protos.shape}, roots {roots.shape}")
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.prototypes = np.asarray(protos, dtype=np.float64)
+        self.roots = np.asarray(roots, dtype=np.float64)
         if (np.diff(self.ids) <= 0).any():
             raise InvalidArgumentError(f"store ids must ascend, got {self.ids.tolist()}")
         for a in (self.ids, self.prototypes, self.roots):
@@ -88,12 +97,10 @@ def _group_means(features, labels, caller: str):
     group keeps its input row order and its mean and root depend only on
     its own rows.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if features.ndim != 2 or features.shape[0] == 0:
+    features = check_matrix(features, f"{caller} features")
+    if features.size == 0:
         raise InvalidArgumentError(f"{caller} requires a non-empty (N, D) feature matrix")
-    if labels.shape[0] != features.shape[0]:
-        raise InvalidArgumentError("labels must align with feature rows")
+    labels = check_labels(labels, len(features), "feature rows")
     order = np.argsort(labels, kind="stable")
     ids, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
     rows = features[order]
@@ -105,6 +112,9 @@ def fit_class_statistics(features, labels) -> PrototypeStore:
     """A store of every distinct label's prototype and covariance root (see
     the module docstring); each class's row count sizes its root."""
     ids, counts, starts, means, rows = _group_means(features, labels, "fit_class_statistics")
+    # min or max is non-finite when any entry is, and neither needs an (N, D) mask
+    if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        raise InvalidArgumentError("fit_class_statistics requires finite features")
     dim = rows.shape[1]
     r = np.where(counts >= 2, np.minimum(counts, dim), 0)
     roots = np.zeros((len(ids), r.max(), dim))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError
-from .numerics import cosine_sim
+from .numerics import check_labels, check_matrix, cosine_sim
 from .prototypes import PrototypeStore, _group_means
 
 
@@ -34,15 +34,15 @@ def generate_pseudo_batch(features, labels, store: PrototypeStore,
     """
     if len(store) == 0:
         raise InvalidStateError("prototype store is empty")
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if features.ndim != 2 or features.shape[0] == 0:
+    features = check_matrix(features, "generate_pseudo_batch features")
+    if features.size == 0:
         raise InvalidArgumentError("generate_pseudo_batch requires a non-empty batch")
     n = len(features)
-    if labels.shape != (n,):
-        raise InvalidArgumentError(f"{labels.size} labels for {n} feature rows")
-    sizes = np.asarray([n] if batch_sizes is None else batch_sizes, dtype=np.int64)
-    if sizes.ndim != 1 or (sizes < 0).any() or sizes.sum() != n:
+    labels = check_labels(labels, n, "feature rows")
+    sizes = np.asarray([n] if batch_sizes is None else batch_sizes)
+    # no size above n, so the sum of the sizes cannot wrap around
+    if (sizes.ndim != 1 or sizes.dtype.kind not in "iu" or sizes.min(initial=0) < 0
+            or sizes.max(initial=0) > n or sizes.sum() != n):
         raise InvalidArgumentError(f"batch sizes {sizes.tolist()} do not split {n} rows")
     # the (batch, label) key takes each label's rank below n, not its id, so
     # it is exact for any int64 labels
